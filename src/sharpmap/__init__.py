@@ -25,14 +25,11 @@ from .constructions import (
     ratio4_sites,
 )
 from .families import (
-    SharpFamilyElement,
     coefficient_ratio,
-    even_element,
     even_family,
     even_u,
     f,
     f_coefficient,
-    f_element,
 )
 from .gaps import (
     GapWitness,

@@ -19,7 +19,6 @@ splicing one odd-degree family member into another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,33 +127,3 @@ def even_family(k: int) -> list[Polynomial]:
             if equivalent(out[i], out[jj]):
                 raise AssertionError(f"even family members {i} and {jj} are equivalent")
     return out
-
-
-@dataclass(frozen=True)
-class SharpFamilyElement:
-    """A family member together with the construction that produced it."""
-
-    degree: int
-    poly: Polynomial
-    provenance: str
-
-    def __post_init__(self) -> None:
-        if self.poly.degree() != self.degree:
-            raise ValueError(f"polynomial degree {self.poly.degree()} != {self.degree}")
-        if self.provenance.startswith("f") and self.degree % 2:
-            if not is_map_polynomial(self.poly):
-                raise ValueError("odd-degree family member must be a map polynomial")
-            if self.poly.term_count() != (self.degree + 3) // 2:
-                raise ValueError("odd-degree family member has the wrong term count")
-        if self.provenance.startswith("even_u"):
-            if self.poly.term_count() != self.degree // 2 + 2:
-                raise ValueError("even-degree member has the wrong term count")
-
-
-def f_element(d: int) -> SharpFamilyElement:
-    return SharpFamilyElement(d, f(d), f"f({d})")
-
-
-def even_element(j: int, l: int, pick_x: bool = True) -> SharpFamilyElement:
-    tag = f"even_u({j},{l},{'x' if pick_x else 'y'})"
-    return SharpFamilyElement(2 * (j + l + 1), even_u(j, l, pick_x), tag)

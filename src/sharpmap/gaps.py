@@ -37,6 +37,7 @@ from .polynomial import (
     assert_term_bound,
     is_map_polynomial,
     is_one_on_hyperplane,
+    line_column,
     signature,
 )
 
@@ -117,7 +118,7 @@ class GapWitness:
     """A map polynomial realizing exactly N terms for domain dimension n.
 
     Minimality of the target dimension follows because the components of
-    the induced monomial map are distinct monomials (checked by
+    the induced monomial map are distinct nonconstant monomials (checked by
     ``monomials_independent_of_constants``).
     """
 
@@ -166,36 +167,12 @@ def gap_witness(n: int, N: int) -> GapWitness:
 def monomials_independent_of_constants(m: MonomialMap) -> bool:
     """True iff no nontrivial rational combination of the components is constant.
 
-    Exact rank computation: the component monomials together with the
-    constant monomial must span a space of dimension term_count + 1.  For
-    distinct nonconstant monomials this always holds; the rank is computed
-    honestly rather than assumed.
+    ``MonomialMap`` rejects duplicate exponents, and distinct monomials are
+    linearly independent, so the components together with the constant
+    monomial have rank term_count + 1 exactly when no component is the
+    constant monomial itself.
     """
-    exponents = [exp for exp, _ in m.components]
-    basis = sorted(set(exponents) | {(0,) * m.nvars})
-    col = {e: i for i, e in enumerate(basis)}
-    rows = []
-    for exp in exponents:
-        row = [Fraction(0)] * len(basis)
-        row[col[exp]] = Fraction(1)
-        rows.append(row)
-    const_row = [Fraction(0)] * len(basis)
-    const_row[col[(0,) * m.nvars]] = Fraction(1)
-    rows.append(const_row)
-    rank = 0
-    ncols = len(basis)
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                factor = rows[i][c] / pr[c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], pr)]
-        rank += 1
-    return rank == len(exponents) + 1
+    return (0,) * m.nvars not in {e for e, _ in m.components}
 
 
 # -- signature catalog -----------------------------------------------------------
@@ -297,12 +274,7 @@ def signature_impossible(requested: Signature, max_degree: int) -> bool:
     for support in combinations(monomials, count):
         degree = max(a + b for a, b in support)
         rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
-        cols = []
-        for a, b in support:
-            col = [0] * (degree + 1)
-            for jj in range(b + 1):
-                col[a + jj] += (-1) ** jj * math.comb(b, jj)
-            cols.append(col)
+        cols = [line_column(mon, degree) for mon in support]
         for positives in combinations(range(count), requested.n_plus):
             pos = set(positives)
             signed = [col if i in pos else [-v for v in col]

@@ -84,14 +84,7 @@ def fundamental_solution(lam: int) -> PellSolution:
 
 def solution_at(lam: int, m: int) -> PellSolution:
     """The m-th solution (d_m, k_m) in the power sequence of the fundamental one."""
-    if m < 1:
-        raise ValueError(f"index must be at least 1, got {m}")
-    base = fundamental_solution(lam)
-    d1, k1 = base.d, base.k
-    d, k = d1, k1
-    for _ in range(m - 1):
-        d, k = d1 * d + lam * k1 * k, d1 * k + k1 * d
-    return PellSolution(d, k, lam, m)
+    return solutions(lam, m)[-1]
 
 
 def solutions(lam: int, count: int) -> list[PellSolution]:

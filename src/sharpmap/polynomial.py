@@ -54,6 +54,15 @@ def _coerce_coeff(value: RationalLike) -> Fraction:
     raise TypeError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
 
 
+def _parse_coeff(raw: object) -> Fraction:
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise ValueError(f"coefficient {raw!r} must be an int or a string such as \"7/2\"")
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {raw!r} has a zero denominator") from None
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -282,11 +291,21 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
-        nvars = data["nvars"]
-        terms = []
-        for entry in data["terms"]:
-            terms.append((tuple(entry["exp"]), Fraction(entry["coeff"])))
-        return cls(nvars, terms)
+        """Inverse of ``to_json_dict``; malformed input raises ValueError.
+
+        A coefficient must be an int or an exact string such as "7/2"; a JSON
+        float is refused, so floating point never enters an exact decision.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"polynomial JSON must be an object, got {type(data).__name__}")
+        try:
+            terms = [(tuple(entry["exp"]), _parse_coeff(entry["coeff"]))
+                     for entry in data["terms"]]
+            return cls(data["nvars"], terms)
+        except KeyError as exc:
+            raise ValueError(f"polynomial JSON lacks the key {exc}") from None
+        except TypeError as exc:  # a value of the wrong JSON type
+            raise ValueError(f"malformed polynomial JSON: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
@@ -346,16 +365,26 @@ class MonomialMap:
 # -- hyperplane restriction ---------------------------------------------------
 
 
+def line_column(mon: tuple[int, int], degree: int) -> tuple[int, ...]:
+    """Coefficients of x^a (1-x)^b in the basis 1, x, ..., x^degree.
+
+    This is x^a y^b restricted to the line x + y = 1, and the one place the
+    alternating binomial expansion is written out.
+    """
+    a, b = mon
+    col = [0] * (degree + 1)
+    for j in range(b + 1):
+        col[a + j] = -math.comb(b, j) if j & 1 else math.comb(b, j)
+    return tuple(col)
+
+
 def _restrict_bivariate(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
     """Substitute y := 1 - x in a two-variable term map; returns 1-var terms."""
     out: dict[Exponents, Fraction] = {}
-    comb = math.comb
     for (a, b), c in terms.items():
-        # c * x^a * (1-x)^b expanded with alternating binomial coefficients
-        for j in range(b + 1):
+        for j, v in enumerate(line_column((0, b), b)):
             k = (a + j,)
-            delta = c * comb(b, j)
-            s = out.get(k, Fraction(0)) + (-delta if j & 1 else delta)
+            s = out.get(k, Fraction(0)) + c * v
             if s:
                 out[k] = s
             else:

@@ -35,13 +35,14 @@ the completeness oracle for small degrees.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .linprog import max_min_component
-from .polynomial import Polynomial, assert_term_bound, is_map_polynomial
+from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_column
 
 Monomial = tuple[int, int]
 
@@ -86,15 +87,6 @@ class FeasibilityResult:
 
 
 _INFEASIBLE = FeasibilityResult("infeasible", None, 0)
-
-
-def _column(mon: Monomial, degree: int) -> tuple[int, ...]:
-    """Coefficients of x^a (1-x)^b in the basis 1, x, ..., x^degree."""
-    a, b = mon
-    col = [0] * (degree + 1)
-    for j in range(b + 1):
-        col[a + j] = -math.comb(b, j) if j & 1 else math.comb(b, j)
-    return tuple(col)
 
 
 def _eliminate(columns: list[tuple[int, ...]], degree: int):
@@ -146,25 +138,10 @@ def _back_substitute(n: int, pivots, rows) -> list[Fraction]:
     return coeffs
 
 
-def _positive_point_lp(columns: list[tuple[int, ...]], degree: int,
-                       rank: int) -> FeasibilityResult:
-    """Decide strict positivity on an underdetermined consistent system.
-
-    Maximizes the minimum coefficient t subject to the equalities; a
-    strictly positive solution exists iff the optimum has t > 0.
-    """
-    n = len(columns)
-    rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
-    t_star, u = max_min_component(columns, rhs)
-    if t_star is None or t_star <= 0:
-        return _INFEASIBLE
-    return FeasibilityResult("polytope", u, n - rank)
-
-
 def solve_support_system(monomials, degree: int) -> FeasibilityResult:
     """Exact positivity decision for an arbitrary monomial set (no pruning)."""
     mons = tuple(monomials)
-    columns = [_column(m, degree) for m in mons]
+    columns = [line_column(m, degree) for m in mons]
     outcome = _eliminate(columns, degree)
     if outcome is None:
         return _INFEASIBLE
@@ -175,7 +152,11 @@ def solve_support_system(monomials, degree: int) -> FeasibilityResult:
         if all(c > 0 for c in coeffs):
             return FeasibilityResult("point", tuple(coeffs), 0)
         return _INFEASIBLE
-    return _positive_point_lp(columns, degree, rank)
+    rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
+    t_star, u = max_min_component(columns, rhs)
+    if t_star is None or t_star <= 0:
+        return _INFEASIBLE
+    return FeasibilityResult("polytope", u, n - rank)
 
 
 def feasible(support: Support) -> FeasibilityResult:
@@ -293,11 +274,6 @@ def _search_block(degree: int, terms: int, first_indices, deadline):
     return witnesses, examined, pruned, True
 
 
-def _shard_worker(args):
-    degree, terms, first_indices, deadline = args
-    return _search_block(degree, terms, first_indices, deadline)
-
-
 def _balanced_partition(n_universe: int, terms: int, shards: int) -> list[list[int]]:
     """Split first indices into shards with roughly equal combination counts."""
     weights = [(math.comb(n_universe - 1 - i, terms - 1), i)
@@ -334,6 +310,9 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     exhaustive = True
     if terms <= len(universe):
         all_first = list(range(len(universe)))
+        # output does not depend on the shard count, so more workers than
+        # first indices or cores would only cost memory and process slots
+        shards = min(shards, len(universe), os.cpu_count() or 1)
         if shards <= 1:
             witnesses, stats.examined, stats.pruned, exhaustive = _search_block(
                 degree, terms, all_first, deadline)
@@ -342,8 +321,8 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
 
             parts = _balanced_partition(len(universe), terms, shards)
             with multiprocessing.get_context("fork").Pool(len(parts)) as pool:
-                results = pool.map(_shard_worker,
-                                   [(degree, terms, p, deadline) for p in parts])
+                results = pool.starmap(_search_block,
+                                       [(degree, terms, p, deadline) for p in parts])
             for wits, examined, pruned, complete in results:
                 witnesses.extend(wits)
                 stats.examined += examined

@@ -119,7 +119,30 @@ class TestGapsAndSignature:
         assert (sig["n_plus"], sig["n_minus"]) == (1, 2)
 
 
+MALFORMED_FILES = {
+    "zero_denominator": {"nvars": 2, "terms": [{"exp": [1, 0], "coeff": "1/0"}]},
+    "missing_nvars": {"terms": [{"exp": [1, 0], "coeff": "1/1"}]},
+    "top_level_list": [{"exp": [1, 0], "coeff": "1/1"}],
+    "float_coeff": {"nvars": 2, "terms": [{"exp": [1, 0], "coeff": 1.5}]},
+    "string_nvars": {"nvars": "2", "terms": []},
+    "string_exponent": {"nvars": 2, "terms": [{"exp": ["1", 0], "coeff": "1/1"}]},
+    "terms_not_a_list": {"nvars": 2, "terms": 5},
+}
+
+
 class TestVerifyAndMap:
+    @pytest.mark.parametrize("command", ["verify", "map"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path, command, name):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(MALFORMED_FILES[name]))
+        code = cli.main([command, "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_verify_round_trip(self, capsys, tmp_path):
         from sharpmap import q
         path = tmp_path / "poly.json"

@@ -7,15 +7,12 @@ from fractions import Fraction
 import pytest
 
 from sharpmap import (
-    SharpFamilyElement,
     coefficient_ratio,
     equivalent,
-    even_element,
     even_family,
     even_u,
     f,
     f_coefficient,
-    f_element,
     is_map_polynomial,
     is_one_on_hyperplane,
     poly2,
@@ -144,21 +141,3 @@ class TestEvenDegree:
             for i in range(k):
                 for j in range(i + 1, k):
                     assert not equivalent(members[i], members[j])
-
-
-class TestTaggedElements:
-    def test_f_element(self):
-        elem = f_element(7)
-        assert elem.degree == 7 and elem.provenance == "f(7)"
-        assert elem.poly == f(7)
-
-    def test_even_element(self):
-        elem = even_element(1, 0)
-        assert elem.degree == 4 and elem.poly == even_u(1, 0)
-        assert elem.provenance == "even_u(1,0,x)"
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            SharpFamilyElement(5, f(7), "f(7)")
-        with pytest.raises(ValueError):
-            SharpFamilyElement(4, f(7) * f(1), "even_u(0,1,x)")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from sharpmap import (
+    MonomialMap,
     Polynomial,
     Signature,
     T,
@@ -144,6 +147,19 @@ class TestGapWitness:
         for n, N in ((2, 3), (3, 5), (4, 10)):
             m = to_monomial_map(gap_witness(n, N).poly)
             assert monomials_independent_of_constants(m)
+        # oracle: rank of the exponent indicator rows plus the constant row
+        rng = random.Random(2)
+        for n in range(1, 5):
+            zero = (0,) * n
+            for trial in range(20):
+                exps = {tuple(rng.randrange(3) for _ in range(n))
+                        for _ in range(rng.randint(1, 6))}
+                exps = sorted(exps | {zero} if trial % 2 else exps - {zero})
+                m = MonomialMap(n, tuple((e, Fraction(1)) for e in exps))
+                basis = sorted(set(exps) | {zero})
+                rows = [[int(e == b) for b in basis] for e in exps + [zero]]
+                assert monomials_independent_of_constants(m) == \
+                    (sympy.Matrix(rows).rank() == len(exps) + 1)
 
     def test_constant_component_detected(self):
         # 1/2 + x/2 is a map polynomial whose map has a constant component

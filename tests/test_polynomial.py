@@ -25,6 +25,7 @@ from sharpmap import (
     signature,
     to_monomial_map,
 )
+from sharpmap.polynomial import line_column
 
 from .oracles import random_polynomial, sympy_restriction
 
@@ -100,6 +101,15 @@ class TestRestriction:
             for (e,), c in ours.terms.items():
                 expr += sympy.Rational(c.numerator, c.denominator) * x ** e
             assert sympy.expand(expr - sympy_restriction(p)) == 0
+
+    def test_line_column_against_sympy(self):
+        x = sympy.Symbol("x")
+        for d in range(13):
+            for a in range(d + 1):
+                for b in range(d + 1 - a):
+                    low_first = sympy.Poly(x ** a * (1 - x) ** b, x).all_coeffs()[::-1]
+                    expected = [int(c) for c in low_first] + [0] * (d - a - b)
+                    assert line_column((a, b), d) == tuple(expected)
 
     def test_one_variable_gives_constant(self):
         p = Polynomial(1, {(3,): 1, (0,): 2})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -142,12 +144,47 @@ class TestEnumerate:
             mirrored = canonical_class(tuple((b, a) for a, b in w.support.monomials))
             assert mirrored in {canonical_class(s) for s in enumerated}
 
-    def test_shards_do_not_change_output(self):
+    def test_shards_do_not_change_output(self, monkeypatch):
+        # the shard count is clamped to the core count; keep three workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial, _, _ = enumerate_sharp(6, 5, shards=1)
         parallel, _, _ = enumerate_sharp(6, 5, shards=3)
         assert [w.support.monomials for w in serial] == \
             [w.support.monomials for w in parallel]
         assert [w.polynomial for w in serial] == [w.polynomial for w in parallel]
+
+    def test_shard_count_is_clamped(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args):
+                return [fn(*a) for a in args]
+
+        class SerialContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
+        serial, _, _ = enumerate_sharp(4, 4)
+        # d = 4 has 15 universe monomials: the core count binds
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        clamped, _, _ = enumerate_sharp(4, 4, shards=10_000)
+        # d = 1 has 3 universe monomials: the universe size binds
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        enumerate_sharp(1, 2, shards=10_000)
+        # an unknown core count runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        enumerate_sharp(4, 4, shards=10_000)
+        assert sizes == [3, 3]
+        assert [w.polynomial for w in clamped] == [w.polynomial for w in serial]
 
 
 class TestPruningRules:
