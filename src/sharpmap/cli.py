@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -67,9 +68,12 @@ class Report:
         return EXIT_OK if all(a["passed"] for a in self.assertions) else EXIT_ASSERTION
 
 
-def _default_budget() -> float | None:
-    raw = os.environ.get("SHARPMAP_BUDGET_SECONDS")
-    return float(raw) if raw else None
+def _finite(name: str, value) -> float:
+    """``value`` as a float; nan and infinities are refused, as JSON has neither."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -157,7 +161,11 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    budget = args.budget_seconds if args.budget_seconds is not None else _default_budget()
+    if args.budget_seconds is not None:
+        budget = _finite("--budget-seconds", args.budget_seconds)
+    else:
+        raw = os.environ.get("SHARPMAP_BUDGET_SECONDS")
+        budget = _finite("SHARPMAP_BUDGET_SECONDS", raw) if raw else None
     report = Report("search", {"degree": args.degree, "terms": args.terms,
                                "budget_seconds": budget, "shards": args.shards})
     if args.terms is not None:
@@ -252,6 +260,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    _finite("--tolerance", args.tolerance)
     report = Report("map", {"file": args.file, "samples": args.samples,
                             "seed": args.seed, "tolerance": args.tolerance})
     with open(args.file, "r", encoding="utf-8") as fh:

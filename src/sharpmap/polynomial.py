@@ -76,15 +76,15 @@ class Polynomial:
     def __init__(self, nvars: int,
                  terms: Mapping[Exponents, RationalLike]
                  | Iterable[tuple[Exponents, RationalLike]] = ()):
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
+        if type(nvars) is not int or nvars < 0:  # bool is an int subclass
+            raise ValueError(f"nvars {nvars!r} must be a nonnegative integer")
         items = terms.items() if isinstance(terms, Mapping) else terms
         stored: dict[Exponents, Fraction] = {}
         for exp, coeff in items:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
-            if any(e < 0 or not isinstance(e, int) for e in exp):
+            if any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"exponent {exp} must consist of nonnegative integers")
             c = _coerce_coeff(coeff) + stored.get(exp, Fraction(0))
             if c:
@@ -522,8 +522,8 @@ def check_sphere_numeric(m: MonomialMap, samples: int, seed: int) -> float:
     """Maximum |  ||f(z)||^2 - 1 | over pseudo-random points on the unit sphere.
 
     Points are drawn deterministically from ``seed``.  Since only the moduli
-    |z_j|^2 enter, each sample reduces to a point (x_1, ..., x_n) on the
-    standard simplex obtained by normalizing squared Gaussians.
+    |z_j|^2 enter, each sample reduces to a point (x_1, ..., x_n) with
+    x_j >= 0 and sum x_j = 1, obtained by normalizing squared Gaussians.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")

@@ -5,12 +5,13 @@ polynomial with that support exists iff the linear system
 
     sum_i c_i x^(a_i) (1-x)^(b_i)  ==  1     (as a polynomial in x)
 
-has a strictly positive rational solution.  The system is solved exactly:
-integer Gaussian elimination decides consistency and rank, and when the
-solution set has positive dimension an exact rational simplex (Bland's
-rule, two phases) maximizes the minimum coefficient t; a strictly positive
-solution exists iff the optimum satisfies t > 0.  No floating point enters
-the decision anywhere.
+has a strictly positive rational solution.  The system is solved exactly
+with ``linprog``: integer echelon form decides consistency and rank, a
+unique solution is checked for positivity directly, and when the solution
+set p + span(v_1..v_k) has positive dimension k the minimum coefficient t
+is maximized over the k parameters; a strictly positive solution exists
+iff the optimum satisfies t > 0.  No floating point enters the decision
+anywhere.
 
 Support enumeration applies four pruning rules, each with a one-line proof:
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linprog import max_min_component
+from .linprog import back_substitute, eliminate, max_min_component
 from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_column
 
 Monomial = tuple[int, int]
@@ -89,70 +90,21 @@ class FeasibilityResult:
 _INFEASIBLE = FeasibilityResult("infeasible", None, 0)
 
 
-def _eliminate(columns: list[tuple[int, ...]], degree: int):
-    """Integer row reduction of [A | e_0]; returns (rank, pivots, rows) or None.
-
-    None means the equality system is inconsistent.  Row updates use exact
-    cross-multiplication, so all entries stay integers.
-    """
-    n = len(columns)
-    rows = [[columns[i][t] for i in range(n)] + [1 if t == 0 else 0]
-            for t in range(degree + 1)]
-    m = degree + 1
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        pv = pr[c]
-        for i in range(r + 1, m):
-            v = rows[i][c]
-            if v:
-                ri = rows[i]
-                for k in range(c, n + 1):
-                    ri[k] = ri[k] * pv - pr[k] * v
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if rows[i][n]:
-            return None
-    return r, pivots, rows
-
-
-def _back_substitute(n: int, pivots, rows) -> list[Fraction]:
-    coeffs: list[Fraction] = [Fraction(0)] * n
-    for row_idx, col in reversed(pivots):
-        row = rows[row_idx]
-        s = Fraction(row[n])
-        for k in range(col + 1, n):
-            if row[k]:
-                s -= row[k] * coeffs[k]
-        coeffs[col] = s / row[col]
-    return coeffs
-
-
 def solve_support_system(monomials, degree: int) -> FeasibilityResult:
     """Exact positivity decision for an arbitrary monomial set (no pruning)."""
     mons = tuple(monomials)
     columns = [line_column(m, degree) for m in mons]
-    outcome = _eliminate(columns, degree)
+    rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
+    outcome = eliminate(columns, rhs)
     if outcome is None:
         return _INFEASIBLE
     rank, pivots, rows = outcome
     n = len(mons)
     if rank == n:
-        coeffs = _back_substitute(n, pivots, rows)
+        coeffs = back_substitute(pivots, rows, [Fraction(0)] * n)
         if all(c > 0 for c in coeffs):
             return FeasibilityResult("point", tuple(coeffs), 0)
         return _INFEASIBLE
-    rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
     t_star, u = max_min_component(columns, rhs)
     if t_star is None or t_star <= 0:
         return _INFEASIBLE

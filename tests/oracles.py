@@ -8,6 +8,7 @@ in-package arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -92,3 +93,34 @@ def random_polynomial(rng: random.Random, nvars: int = 2, max_degree: int = 4,
         exp = tuple(rng.randint(0, max_degree) for _ in range(nvars))
         terms[exp] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Polynomial(nvars, {e: c for e, c in terms.items() if c})
+
+
+def max_min_by_vertices(columns, rhs):
+    """Max of t over { A u = rhs, u_i >= t, 0 <= t <= 1 } by vertex enumeration.
+
+    The region lies in u >= 0, t >= 0, so it contains no line and the
+    bounded objective t, when feasible, is maximal at a vertex.  A vertex is
+    a feasible point where the equalities and some tight inequalities have
+    full rank n + 1; every such choice is solved with sympy's LUsolve.
+    Returns the optimum as a Fraction, or None when the region is empty.
+    """
+    n, m = len(columns), len(rhs)
+    # inequality rows g . (u, t) >= h: u_i - t >= 0, t >= 0, -t >= -1
+    ineqs = [([1 if j == i else 0 for j in range(n)] + [-1], 0) for i in range(n)]
+    ineqs += [([0] * n + [1], 0), ([0] * n + [-1], -1)]
+    eq_rows = [[columns[i][r] for i in range(n)] + [0] for r in range(m)]
+    rank = sympy.Matrix(eq_rows).rank() if m else 0
+    best = None
+    for active in itertools.combinations(ineqs, n + 1 - rank):
+        M = sympy.Matrix(eq_rows + [g for g, _ in active])
+        if M.rank() < n + 1:
+            continue
+        b = sympy.Matrix(list(rhs) + [h for _, h in active])
+        try:
+            x = M.LUsolve(b)
+        except ValueError:  # inconsistent
+            continue
+        if all(sum(g[k] * x[k] for k in range(n + 1)) >= h for g, h in ineqs):
+            t = Fraction(int(x[n].p), int(x[n].q))
+            best = t if best is None else max(best, t)
+    return best

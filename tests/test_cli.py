@@ -127,6 +127,9 @@ MALFORMED_FILES = {
     "string_nvars": {"nvars": "2", "terms": []},
     "string_exponent": {"nvars": 2, "terms": [{"exp": ["1", 0], "coeff": "1/1"}]},
     "terms_not_a_list": {"nvars": 2, "terms": 5},
+    "bool_exponent": {"nvars": 2, "terms": [{"exp": [True, 0], "coeff": "1/1"},
+                                            {"exp": [0, 1], "coeff": 1}]},
+    "bool_nvars": {"nvars": True, "terms": [{"exp": [1], "coeff": 1}]},
 }
 
 
@@ -137,6 +140,25 @@ class TestVerifyAndMap:
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(MALFORMED_FILES[name]))
         code = cli.main([command, "--file", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("source", ["budget_flag", "budget_env", "tolerance"])
+    def test_non_finite_float_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                             source, value):
+        from sharpmap import q
+        path = tmp_path / "poly.json"
+        path.write_text(q(7).to_json())
+        argv = {"budget_flag": ["search", "--degree", "3", f"--budget-seconds={value}"],
+                "budget_env": ["search", "--degree", "3"],
+                "tolerance": ["map", "--file", str(path), f"--tolerance={value}"]}[source]
+        if source == "budget_env":
+            monkeypatch.setenv("SHARPMAP_BUDGET_SECONDS", value)
+        code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert captured.out == ""

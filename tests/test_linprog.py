@@ -1,0 +1,56 @@
+"""The exact max-min routine against a brute-force vertex oracle."""
+
+from __future__ import annotations
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sharpmap.linprog import max_min_component
+from sharpmap.polynomial import line_column
+
+from .oracles import max_min_by_vertices
+
+
+@st.composite
+def generic_systems(draw):
+    """Integer systems with n <= 5 unknowns, at most min(n, 4) rows, entries in -3..3."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, min(n, 4)))
+    entry = st.integers(-3, 3)
+    columns = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)]
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return columns, rhs
+
+
+@st.composite
+def signed_line_systems(draw):
+    """Sign-flipped restriction columns, as ``gaps.signature_impossible`` builds them."""
+    max_degree = draw(st.integers(1, 4))
+    monomials = [(a, b) for a in range(max_degree + 1) for b in range(max_degree + 1 - a)]
+    support = draw(st.lists(st.sampled_from(monomials), min_size=2, max_size=5,
+                            unique=True))
+    degree = max(a + b for a, b in support)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(support),
+                          max_size=len(support)))
+    columns = [[s * v for v in line_column(mon, degree)] for s, mon in zip(signs, support)]
+    return columns, [1 if t == 0 else 0 for t in range(degree + 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(generic_systems(), signed_line_systems()))
+# sympy 1.14's simplex returns t = 0, u = 0 for this inconsistent system
+@example(([[0, 1, -4, 6, -4, 1], [1, -5, 10, -10, 5, -1], [-1, 4, -6, 4, -1, 0],
+           [0, 0, 0, 0, 1, 0]], [1, 0, 0, 0, 0, 0]))
+# sympy 1.14's simplex returns a point off A u = rhs here
+@example(([[1, -2, 1, 0], [0, 0, 1, 0], [0, 0, 1, -1], [1, 0, 0, 0], [0, 1, -2, 1]],
+          [1, 0, 0, 0]))
+def test_max_min_component_matches_vertex_oracle(system):
+    columns, rhs = system
+    t_star, u = max_min_component(columns, rhs)
+    assert t_star == max_min_by_vertices(columns, rhs)
+    if t_star is None:
+        assert u is None
+        return
+    for r, target in enumerate(rhs):
+        assert sum(u_i * col[r] for u_i, col in zip(u, columns)) == target
+    assert min(u) >= t_star

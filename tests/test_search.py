@@ -74,6 +74,8 @@ class TestFeasible:
         assert res.status == "polytope"
         assert res.freedom == 1
         assert all(c > 0 for c in res.coefficients)
+        # pinned, so a solver change that moves the witness shows here
+        assert res.coefficients == (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), 1)
 
     def test_infeasible_zero_forced(self):
         # x^2 + x + y support forces the x coefficient to vanish
