@@ -20,13 +20,13 @@ Values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 Exponents = tuple[int, ...]
 
@@ -227,20 +227,6 @@ class Polynomial:
             raise UnsupportedArityError("variable swap is defined only for two variables")
         return Polynomial._raw(2, {(b, a): c for (a, b), c in self._terms.items()})
 
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value of the polynomial at a rational point."""
-        if len(point) != self._nvars:
-            raise ValueError("point arity mismatch")
-        vals = [_coerce_coeff(v) for v in point]
-        total = Fraction(0)
-        for exp, c in self._terms.items():
-            term = c
-            for e, v in zip(exp, vals):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -286,9 +272,6 @@ class Polynomial:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
         """Inverse of ``to_json_dict``; malformed input raises ValueError.
@@ -306,10 +289,6 @@ class Polynomial:
             raise ValueError(f"polynomial JSON lacks the key {exc}") from None
         except TypeError as exc:  # a value of the wrong JSON type
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        return cls.from_json_dict(json.loads(text))
 
 
 def poly2(terms: Mapping[tuple[int, int], RationalLike]) -> Polynomial:
@@ -365,69 +344,61 @@ class MonomialMap:
 # -- hyperplane restriction ---------------------------------------------------
 
 
+def alternating_row(e: int) -> list[int]:
+    """The coefficients (-1)^j C(e, j), j = 0..e, of (1 - x)^e.
+
+    This is the one place the alternating binomial expansion is written out.
+    """
+    row = [1] * (e + 1)
+    for j in range(e):
+        row[j + 1] = -row[j] * (e - j) // (j + 1)
+    return row
+
+
 def line_column(mon: tuple[int, int], degree: int) -> tuple[int, ...]:
     """Coefficients of x^a (1-x)^b in the basis 1, x, ..., x^degree.
 
-    This is x^a y^b restricted to the line x + y = 1, and the one place the
-    alternating binomial expansion is written out.
+    This is x^a y^b restricted to the line x + y = 1.
     """
     a, b = mon
     col = [0] * (degree + 1)
-    for j in range(b + 1):
-        col[a + j] = -math.comb(b, j) if j & 1 else math.comb(b, j)
+    col[a:a + b + 1] = alternating_row(b)
     return tuple(col)
 
 
-def _restrict_bivariate(terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-    """Substitute y := 1 - x in a two-variable term map; returns 1-var terms."""
-    out: dict[Exponents, Fraction] = {}
-    for (a, b), c in terms.items():
-        for j, v in enumerate(line_column((0, b), b)):
-            k = (a + j,)
-            s = out.get(k, Fraction(0)) + c * v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+def _one_minus_sum_power(m: int, e: int) -> list[tuple[Exponents, int]]:
+    """Terms of (1 - x_1 - ... - x_m)^e as (exponent, integer coefficient) pairs.
+
+    With s = x_1 + ... + x_{m-1}: (1 - s - x_m)^e = sum_j row_e[j] x_m^j (1 - s)^(e-j).
+    """
+    if m == 0:
+        return [((), 1)]
+    return [(k + (j,), r * c)
+            for j, r in enumerate(alternating_row(e))
+            for k, c in _one_minus_sum_power(m - 1, e - j)]
 
 
 def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
     """Exact substitution of the last variable by 1 - (sum of the others).
 
     Returns the (n-1)-variable polynomial p(x_1, ..., x_{n-1}, 1 - sum x_j);
-    for n = 1 the result is a constant (a 0-variable polynomial).
+    for n = 1 the result is a constant (a 0-variable polynomial).  The sums
+    are kept in integers over the common denominator of the coefficients,
+    and zero terms are dropped once, at the end.
     """
     n = p.nvars
     if n < 1:
         raise ValueError("restriction needs at least one variable")
-    if n == 1:
-        total = sum(p.terms.values(), Fraction(0))
-        return Polynomial(0, {(): total} if total else {})
-    if n == 2:
-        return Polynomial._raw(1, _restrict_bivariate(p.terms))
-
-    # group terms by the exponent of the eliminated variable, then expand
-    # (1 - s')^e once per exponent, in increasing order
     m = n - 1
-    grouped: dict[int, dict[Exponents, Fraction]] = {}
-    for exp, c in p.terms.items():
-        head, e = exp[:m], exp[m]
-        bucket = grouped.setdefault(e, {})
-        bucket[head] = bucket.get(head, Fraction(0)) + c
-
-    one_minus_s = Polynomial.constant(m, 1) - sum(
-        (Polynomial.variable(m, j) for j in range(m)), Polynomial.zero(m)
-    )
-    power = Polynomial.constant(m, 1)
-    result = Polynomial.zero(m)
-    last_e = 0
-    for e in sorted(grouped):
-        for _ in range(e - last_e):
-            power = power * one_minus_s
-        last_e = e
-        result = result + Polynomial(m, grouped[e]) * power
-    return result
+    den = math.lcm(*(c.denominator for c in p._terms.values()))
+    out: dict[Exponents, int] = {}
+    for exp, c in p._terms.items():
+        scaled = c.numerator * (den // c.denominator)
+        head = exp[:m]
+        for k, v in _one_minus_sum_power(m, exp[m]):
+            key = tuple(map(operator.add, head, k))
+            out[key] = out.get(key, 0) + scaled * v
+    return Polynomial._raw(m, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def is_one_on_hyperplane(p: Polynomial) -> bool:

@@ -254,6 +254,8 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
         raise ValueError("a map polynomial of positive degree needs at least 2 terms")
     if degree < 1:
         raise ValueError("degree must be positive")
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
     universe = monomial_universe(degree)
@@ -320,6 +322,8 @@ def minimal_terms(degree: int, budget_seconds: float | None = None,
     """
     if degree < 1:
         raise ValueError("degree must be positive")
+    if shards < 1:  # checked before the budget, which can run out first
+        raise ValueError(f"shards must be at least 1, got {shards}")
     deadline = (time.monotonic() + budget_seconds
                 if budget_seconds is not None else None)
     n = (degree + 4) // 2  # == ceil((degree + 3) / 2)

@@ -56,20 +56,26 @@ def pell_power_by_binomial(lam: int, d1: int, k1: int, m: int) -> tuple[int, int
     return d, k
 
 
-_X, _Y = sympy.symbols("x y")
+def _variables(nvars: int) -> tuple:
+    return sympy.symbols(f"x0:{nvars}")
 
 
 def to_sympy(p: Polynomial):
-    assert p.nvars == 2
+    """The polynomial as a sympy expression in x0, ..., x_{nvars-1}."""
+    xs = _variables(p.nvars)
     expr = sympy.Integer(0)
-    for (a, b), c in p.terms.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * _X ** a * _Y ** b
+    for exp, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for x, e in zip(xs, exp):
+            term *= x ** e
+        expr += term
     return sympy.expand(expr)
 
 
 def sympy_restriction(p: Polynomial):
-    """Substitute y -> 1 - x symbolically and expand."""
-    return sympy.expand(to_sympy(p).subs(_Y, 1 - _X))
+    """Substitute the last variable -> 1 - (sum of the others) symbolically and expand."""
+    xs = _variables(p.nvars)
+    return sympy.expand(to_sympy(p).subs(xs[-1], 1 - sum(xs[:-1])))
 
 
 def sympy_h_term_count(m: int) -> int:
@@ -80,9 +86,10 @@ def sympy_h_term_count(m: int) -> int:
     """
     fam = {k: to_sympy(family_by_radical_expansion(k))
            for k in (4 * m - 1, 2 * m - 2)}
+    x, y = _variables(2)
     expr = sympy.expand(
-        fam[4 * m - 1] - (4 * m - 1) * _X ** (2 * m - 1) * _Y * (fam[2 * m - 2] - 1))
-    return len(expr.as_poly(_X, _Y).terms())
+        fam[4 * m - 1] - (4 * m - 1) * x ** (2 * m - 1) * y * (fam[2 * m - 2] - 1))
+    return len(expr.as_poly(x, y).terms())
 
 
 def random_polynomial(rng: random.Random, nvars: int = 2, max_degree: int = 4,

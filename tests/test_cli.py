@@ -95,6 +95,16 @@ class TestSearch:
         code, report = run(capsys, "search", "--degree", "9")
         assert code == cli.EXIT_BUDGET
 
+    @pytest.mark.parametrize("extra", [(), ("--terms", "3"), ("--budget-seconds", "0")])
+    @pytest.mark.parametrize("shards", ["0", "-2"])
+    def test_shards_below_one_is_usage_error(self, capsys, shards, extra):
+        code = cli.main(["search", "--degree", "3", "--shards", shards, *extra])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestGapsAndSignature:
     def test_witness(self, capsys):
@@ -152,7 +162,7 @@ class TestVerifyAndMap:
                                              source, value):
         from sharpmap import q
         path = tmp_path / "poly.json"
-        path.write_text(q(7).to_json())
+        path.write_text(json.dumps(q(7).to_json_dict()))
         argv = {"budget_flag": ["search", "--degree", "3", f"--budget-seconds={value}"],
                 "budget_env": ["search", "--degree", "3"],
                 "tolerance": ["map", "--file", str(path), f"--tolerance={value}"]}[source]
@@ -168,7 +178,7 @@ class TestVerifyAndMap:
     def test_verify_round_trip(self, capsys, tmp_path):
         from sharpmap import q
         path = tmp_path / "poly.json"
-        path.write_text(q(7).to_json())
+        path.write_text(json.dumps(q(7).to_json_dict()))
         code, report = run(capsys, "verify", "--file", str(path),
                            "--expect-degree", "7", "--expect-terms", "5")
         assert code == 0 and passed_all(report)
@@ -178,7 +188,7 @@ class TestVerifyAndMap:
     def test_verify_wrong_expectation(self, capsys, tmp_path):
         from sharpmap import f
         path = tmp_path / "poly.json"
-        path.write_text(f(5).to_json())
+        path.write_text(json.dumps(f(5).to_json_dict()))
         code, report = run(capsys, "verify", "--file", str(path),
                            "--expect-terms", "99")
         assert code == cli.EXIT_ASSERTION
@@ -186,7 +196,7 @@ class TestVerifyAndMap:
     def test_map_residual(self, capsys, tmp_path):
         from sharpmap import f
         path = tmp_path / "poly.json"
-        path.write_text(f(7).to_json())
+        path.write_text(json.dumps(f(7).to_json_dict()))
         code, report = run(capsys, "map", "--file", str(path),
                            "--samples", "200", "--seed", "11")
         assert code == 0 and passed_all(report)
@@ -195,7 +205,7 @@ class TestVerifyAndMap:
     def test_map_rejects_non_member(self, capsys, tmp_path):
         p = Polynomial(2, {(1, 0): 2, (0, 1): 2})
         path = tmp_path / "poly.json"
-        path.write_text(p.to_json())
+        path.write_text(json.dumps(p.to_json_dict()))
         assert cli.main(["map", "--file", str(path)]) == cli.EXIT_USAGE
 
 

@@ -155,6 +155,14 @@ class TestEnumerate:
             [w.support.monomials for w in parallel]
         assert [w.polynomial for w in serial] == [w.polynomial for w in parallel]
 
+    @pytest.mark.parametrize("shards", [0, -2])
+    def test_shards_below_one_rejected(self, shards):
+        with pytest.raises(ValueError, match="shards"):
+            enumerate_sharp(3, 3, shards=shards)
+        # before the budget check, which a zero budget would fail first
+        with pytest.raises(ValueError, match="shards"):
+            uniqueness_status(3, budget_seconds=0, shards=shards)
+
     def test_shard_count_is_clamped(self, monkeypatch):
         sizes = []
 
