@@ -139,6 +139,12 @@ def _cmd_construct(args) -> int:
 
 def _cmd_pell(args) -> int:
     if args.general_d is not None:
+        # name the options given, not the library's parameters
+        if args.b_bound < 1:
+            raise ValueError(f"--b-bound must be at least 1, got {args.b_bound}")
+        if args.general_n == 0:
+            raise ValueError("--general-n (N) must be nonzero")
+        pell.validate_lambda(args.general_d, "--general-d (D)")
         inputs = {"D": args.general_d, "N": args.general_n, "b_bound": args.b_bound}
         report = Report("pell general", inputs)
         sols = pell.generalized_solutions(args.general_d, args.general_n, args.b_bound)

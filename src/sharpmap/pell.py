@@ -53,12 +53,13 @@ class GeneralizedPellSolution:
         return {"a": str(self.a), "b": str(self.b)}
 
 
-def _validate_lambda(lam: int) -> None:
+def validate_lambda(lam: int, name: str = "lambda") -> None:
+    """Refuse a Pell parameter below 2 or a perfect square; errors call it ``name``."""
     if lam < 2:
-        raise ValueError(f"lambda must be at least 2, got {lam}")
+        raise ValueError(f"{name} must be at least 2, got {lam}")
     r = math.isqrt(lam)
     if r * r == lam:
-        raise ValueError(f"lambda must not be a perfect square, got {lam}")
+        raise ValueError(f"{name} must not be a perfect square, got {lam}")
 
 
 def fundamental_solution(lam: int) -> PellSolution:
@@ -67,7 +68,7 @@ def fundamental_solution(lam: int) -> PellSolution:
     Convergents p/q of sqrt(lam) are generated until p^2 - lam q^2 = 1; the
     first hit is the fundamental solution.
     """
-    _validate_lambda(lam)
+    validate_lambda(lam)
     a0 = math.isqrt(lam)
     # continued-fraction state for sqrt(lam): value = (sqrt(lam) + m) / d
     m, d, a = 0, 1, a0
@@ -115,10 +116,10 @@ def generalized_solutions(D: int, N: int, b_bound: int) -> list[GeneralizedPellS
     sorted by b.
     """
     if b_bound < 1:
-        raise ValueError("b_bound must be at least 1")
+        raise ValueError(f"b_bound must be at least 1, got {b_bound}")
     if N == 0:
         raise ValueError("N must be nonzero")
-    _validate_lambda(D)
+    validate_lambda(D, "D")
     out = []
     for b in range(1, b_bound + 1):
         t = N + D * b * b

@@ -25,6 +25,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -69,9 +70,13 @@ class Polynomial:
     ``nvars`` may be 0, in which case the polynomial is a constant with the
     empty exponent tuple; this arises as the hyperplane restriction of a
     one-variable polynomial.
+
+    The slot ``_restricted`` holds the hyperplane restriction once
+    ``restrict_to_hyperplane`` has computed it; every constructor leaves it
+    ``None``.
     """
 
-    __slots__ = ("_nvars", "_terms")
+    __slots__ = ("_nvars", "_terms", "_restricted")
 
     def __init__(self, nvars: int,
                  terms: Mapping[Exponents, RationalLike]
@@ -93,6 +98,7 @@ class Polynomial:
                 stored.pop(exp, None)
         self._nvars = nvars
         self._terms = stored
+        self._restricted = None
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -213,10 +219,14 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Internal constructor skipping validation; terms must be canonical."""
+        """Internal constructor skipping validation; terms must be canonical.
+
+        ``terms`` must be a fresh dict that no other polynomial holds.
+        """
         p = object.__new__(cls)
         p._nvars = nvars
         p._terms = terms
+        p._restricted = None
         return p
 
     # -- structure ----------------------------------------------------------
@@ -385,7 +395,13 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
     for n = 1 the result is a constant (a 0-variable polynomial).  The sums
     are kept in integers over the common denominator of the coefficients,
     and zero terms are dropped once, at the end.
+
+    The restriction is computed once per value: it is kept on ``p``, which is
+    immutable, and later calls (from ``is_one_on_hyperplane``,
+    ``is_map_polynomial`` and ``to_monomial_map`` too) return it.
     """
+    if p._restricted is not None:
+        return p._restricted
     n = p.nvars
     if n < 1:
         raise ValueError("restriction needs at least one variable")
@@ -398,7 +414,8 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
         for k, v in _one_minus_sum_power(m, exp[m]):
             key = tuple(map(operator.add, head, k))
             out[key] = out.get(key, 0) + scaled * v
-    return Polynomial._raw(m, {k: Fraction(v, den) for k, v in out.items() if v})
+    p._restricted = Polynomial._raw(m, {k: Fraction(v, den) for k, v in out.items() if v})
+    return p._restricted
 
 
 def is_one_on_hyperplane(p: Polynomial) -> bool:
@@ -495,6 +512,13 @@ def check_sphere_numeric(m: MonomialMap, samples: int, seed: int) -> float:
     Points are drawn deterministically from ``seed``.  Since only the moduli
     |z_j|^2 enter, each sample reduces to a point (x_1, ..., x_n) with
     x_j >= 0 and sum x_j = 1, obtained by normalizing squared Gaussians.
+
+    The float-safe terms c * x_1^e_1 * ... * x_n^e_n of a sample are formed
+    by C-level maps, one variable at a time.  The result is bit for bit that
+    of multiplying each term in a Python loop, skipping zero exponents: every
+    product keeps the order c, x_1^e_1, ..., x_n^e_n; a zero exponent gives
+    ``x ** 0 == 1.0`` and ``t * 1.0 == t``; and ``math.fsum`` is exactly
+    rounded, so the order of the terms in the sum does not matter.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -510,6 +534,10 @@ def check_sphere_numeric(m: MonomialMap, samples: int, seed: int) -> float:
         else:
             mant, e2 = _frexp_fraction(sq)
             scaled.append((exp, mant, e2))
+    plain_coeffs = [c for _, c in plain]
+    # one exponent tuple per variable; n >= 1, so the fold below always
+    # builds a fresh list that the scaled terms may be appended to
+    plain_exps = [tuple(exp[j] for exp, _ in plain) for j in range(n)]
 
     worst = 0.0
     for _ in range(samples):
@@ -520,13 +548,9 @@ def check_sphere_numeric(m: MonomialMap, samples: int, seed: int) -> float:
             if norm > 0.0:
                 break
         xs = [v / norm for v in sq_moduli]
-        parts = []
-        for exp, c in plain:
-            t = c
-            for e, x in zip(exp, xs):
-                if e:
-                    t *= x ** e
-            parts.append(t)
+        parts = plain_coeffs
+        for x, exps in zip(xs, plain_exps):
+            parts = list(map(operator.mul, parts, map(pow, repeat(x), exps)))
         for exp, mant, e2 in scaled:
             tm, te = mant, e2
             zero = False

@@ -66,6 +66,20 @@ class TestPell:
         assert [s["b"] for s in report["outputs"]["solutions"]] == \
             ["1", "2", "4", "11", "23", "64"]
 
+    @pytest.mark.parametrize("argv, option", [
+        (("--general-d", "4", "--general-n", "1"), "--general-d (D)"),
+        (("--general-d", "0", "--general-n", "1"), "--general-d (D)"),
+        (("--general-d", "8", "--general-n", "-7", "--b-bound", "0"), "--b-bound"),
+        (("--general-d", "8", "--general-n", "0"), "--general-n (N)"),
+    ])
+    def test_general_usage_error_names_the_option(self, capsys, argv, option):
+        code = cli.main(["pell", *argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {option} must ")
+
 
 class TestSearch:
     def test_degree_3_unique(self, capsys):

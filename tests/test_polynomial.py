@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,8 +21,10 @@ from sharpmap import (
     check_sphere_numeric,
     equivalent,
     f,
+    gap_witness,
     is_map_polynomial,
     is_one_on_hyperplane,
+    mod6,
     poly2,
     q,
     restrict_to_hyperplane,
@@ -140,6 +143,30 @@ class TestRestriction:
         assert restrict_to_hyperplane(p + r) == \
             restrict_to_hyperplane(p) + restrict_to_hyperplane(r)
         assert restrict_to_hyperplane(p * c) == restrict_to_hyperplane(p) * c
+
+    def test_kept_restriction_is_never_stale(self):
+        rng = random.Random(5)
+        p = random_polynomial(rng, 2, max_terms=6) + poly2({(3, 1): Fraction(2, 3)})
+        r = random_polynomial(rng, 2, max_terms=6) + poly2({(0, 2): Fraction(-1, 5)})
+        first = restrict_to_hyperplane(p)
+        restrict_to_hyperplane(r)
+        for value in (p + r, p - r, 2 * p, -p, p * r, p.swap_xy()):
+            ours = restrict_to_hyperplane(value)
+            assert sympy.expand(to_sympy(ours) - sympy_restriction(value)) == 0
+        assert restrict_to_hyperplane(p) == first
+        assert sympy.expand(to_sympy(first) - sympy_restriction(p)) == 0
+
+    def test_pickled_witness_restricts_the_same(self):
+        # shard workers send their witnesses back to the parent by pickling
+        checked = gap_witness(4, 12)
+        assert is_map_polynomial(checked.poly)
+        for witness in (checked, gap_witness(3, 9)):
+            back = pickle.loads(pickle.dumps(witness))
+            assert back.poly == witness.poly
+            assert restrict_to_hyperplane(back.poly) == restrict_to_hyperplane(witness.poly)
+            assert sympy.expand(to_sympy(restrict_to_hyperplane(back.poly))
+                                - sympy_restriction(witness.poly)) == 0
+            assert is_map_polynomial(back.poly)
 
 
 class TestMembership:
@@ -267,6 +294,20 @@ class TestSphereCheck:
                    (0, 2): 1 - Fraction(1, big), (0, 1): Fraction(1, big)})
         assert is_map_polynomial(p)
         assert check_sphere_numeric(to_monomial_map(p), 50, seed=2) <= 1e-10
+
+    @pytest.mark.parametrize("make, samples, expected", [
+        (lambda: f(7), 1000, "0x1.0000000000000p-50"),
+        (lambda: f(121), 300, "0x1.1a00000000000p-46"),
+        (lambda: f(1351), 20, "0x1.2d80000000000p-43"),  # plain and scaled terms
+        (lambda: gap_witness(1, 5).poly, 500, "0x0.0p+0"),
+        (lambda: gap_witness(4, 12).poly, 500, "0x1.0000000000000p-52"),
+        (lambda: mod6(3), 500, "0x1.6000000000000p-49"),
+    ], ids=["f7", "f121", "f1351", "gap_1_5", "gap_4_12", "mod6_3"])
+    def test_residual_bit_for_bit(self, make, samples, expected):
+        # pinned from the per-term loop; the map is built without restricting
+        p = make()
+        m = MonomialMap(p.nvars, p.canonical_terms())
+        assert check_sphere_numeric(m, samples, seed=1234).hex() == expected
 
     def test_samples_validated(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,12 @@ import os
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sharpmap import (
+    Polynomial,
     Support,
     enumerate_naive,
     enumerate_sharp,
@@ -28,6 +32,8 @@ from sharpmap.search import (
     monomial_universe,
     solve_support_system,
 )
+
+from .oracles import max_min_by_vertices
 
 
 def support_of(p):
@@ -89,6 +95,69 @@ class TestFeasible:
             again = feasible(support)
             assert again.status == first.status
             assert again.coefficients == first.coefficients
+
+
+X_PLUS_Y = Polynomial(2, {(1, 0): 1, (0, 1): 1})
+MONOMIALS_UP_TO_5 = [(a, b) for a in range(6) for b in range(6 - a)]
+
+
+def sympy_columns(monomials, degree):
+    """Coefficients of x^a (1-x)^b in 1, x, ..., x^degree, expanded by sympy."""
+    x = sympy.Symbol("x")
+    return [[int(c) for c in sympy.Poly(x ** a * (1 - x) ** b, x).all_coeffs()[::-1]]
+            + [0] * (degree - a - b) for a, b in monomials]
+
+
+@st.composite
+def supports_with_pure_powers(draw):
+    """Supports holding some x^a and some y^b, as pruning rule (ii) requires."""
+    pure = [draw(st.sampled_from([(a, 0) for a in range(1, 6)])),
+            draw(st.sampled_from([(0, b) for b in range(1, 6)]))]
+    rest = draw(st.lists(st.sampled_from(MONOMIALS_UP_TO_5), max_size=4, unique=True))
+    return pure + [m for m in rest if m not in pure]
+
+
+@st.composite
+def supports_around_maps(draw):
+    """The support of f(d), d <= 5, or of (x + y)^k, k <= 4, with up to two more monomials."""
+    base = draw(st.sampled_from([f(d) for d in range(1, 6)]
+                                + [X_PLUS_Y ** k for k in (2, 3, 4)]))
+    degree = base.degree()
+    extra = draw(st.lists(st.sampled_from([m for m in MONOMIALS_UP_TO_5 if sum(m) <= degree]),
+                          max_size=2, unique=True))
+    support = list(base.terms)
+    return (support + [m for m in extra if m not in support])[:6]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(
+    st.lists(st.sampled_from(MONOMIALS_UP_TO_5), min_size=2, max_size=6, unique=True),
+    supports_with_pure_powers(), supports_around_maps()))
+@example([(3, 0), (1, 1), (0, 3)])  # f(3): a positive point
+@example([(2, 0), (1, 1), (0, 2), (0, 1)])  # a polytope of freedom 1
+@example([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])  # freedom 2
+def test_solve_support_system_matches_sympy(monomials):
+    degree = max(a + b for a, b in monomials)
+    columns = sympy_columns(monomials, degree)
+    rhs = [1] + [0] * degree
+    A = sympy.Matrix(columns).T
+    b = sympy.Matrix(rhs)
+    result = solve_support_system(monomials, degree)
+    t_star = max_min_by_vertices(columns, rhs)  # None when A u = rhs has no solution
+    if t_star is None or t_star <= 0:
+        assert result.status == "infeasible"
+        return
+    rank = A.rank()
+    assert result.freedom == len(monomials) - rank
+    if rank == len(monomials):
+        assert result.status == "point"
+        solution, _ = A.gauss_jordan_solve(b)
+        assert list(result.coefficients) == [Fraction(int(v.p), int(v.q)) for v in solution]
+    else:
+        assert result.status == "polytope"
+        u = sympy.Matrix([sympy.Rational(c.numerator, c.denominator)
+                          for c in result.coefficients])
+        assert A * u == b and min(result.coefficients) > 0
 
 
 class TestEnumerate:
