@@ -8,7 +8,6 @@ numeric cross-check of the sphere identity.
 """
 
 from .constructions import (
-    HCoefficient,
     ReplacementStep,
     h,
     h_coeff_closed,
@@ -76,7 +75,6 @@ from .search import (
     SharpWitness,
     Support,
     UniquenessResult,
-    enumerate_naive,
     enumerate_sharp,
     feasible,
     minimal_terms,

@@ -214,26 +214,6 @@ def h_coeff_sum(m: int, s: int) -> int:
     return 2 * first - (4 * m - 1) * 2 ** (2 * m + 2) * second
 
 
-@dataclass(frozen=True)
-class HCoefficient:
-    """The scaled coefficient C_s = 2^(4m-1) c_s of h(m), cross-validated."""
-
-    m: int
-    s: int
-    value: int
-
-    @classmethod
-    def compute(cls, m: int, s: int) -> "HCoefficient":
-        value = h_coeff_closed(m, s)
-        if value != h_coeff_sum(m, s):
-            raise AssertionError(f"closed form and double sum disagree at ({m},{s})")
-        if s in (1, 2) and value != 0:
-            raise AssertionError(f"C_{s} should vanish, got {value}")
-        if 3 <= s <= m - 1 and value <= 0:
-            raise AssertionError(f"C_{s} should be positive, got {value}")
-        return cls(m, s, value)
-
-
 def h_coeff_inequality_holds(m: int, s: int) -> bool:
     """Exact big-integer check that the positive part of C_s dominates.
 

@@ -279,7 +279,6 @@ def signature_impossible(requested: Signature, max_degree: int) -> bool:
             pos = set(positives)
             signed = [col if i in pos else [-v for v in col]
                       for i, col in enumerate(cols)]
-            t_star, _ = max_min_component(signed, rhs)
-            if t_star is not None and t_star > 0:
+            if max_min_component(signed, rhs)[0] is not None:
                 return False
     return True

@@ -5,13 +5,14 @@ polynomial with that support exists iff the linear system
 
     sum_i c_i x^(a_i) (1-x)^(b_i)  ==  1     (as a polynomial in x)
 
-has a strictly positive rational solution.  The system is solved exactly
-with ``linprog``: integer echelon form decides consistency and rank, a
-unique solution is checked for positivity directly, and when the solution
-set p + span(v_1..v_k) has positive dimension k the minimum coefficient t
-is maximized over the k parameters; a strictly positive solution exists
-iff the optimum satisfies t > 0.  No floating point enters the decision
-anywhere.
+has a strictly positive rational solution.  One exact call,
+``linprog.max_min_component``, decides it for every rank: integer reduced
+echelon form decides consistency and rank, a coefficient that the
+equations pin is rejected by its integer sign, and over the solution set
+p + span(v_1..v_k) the minimum coefficient t is maximized over the k
+parameters; a strictly positive solution exists iff the optimum satisfies
+t > 0.  A unique solution (k = 0) is a point, any other a polytope.  No
+floating point enters the decision anywhere.
 
 Support enumeration applies four pruning rules, each with a one-line proof:
 
@@ -29,8 +30,8 @@ Support enumeration applies four pruning rules, each with a one-line proof:
         (-1)^(b_i) c_i and must vanish; with all c_i > 0 the top slice
         must contain monomials with both parities of b.  (Subsumes (i).)
 
-A naive enumerator with no pruning and no symmetry reduction is provided as
-the completeness oracle for small degrees.
+The tests check the pruned enumeration against a naive one, with no pruning
+and no symmetry reduction, at small degrees.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linprog import back_substitute, eliminate, max_min_component
+from .linprog import max_min_component
 from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_column
 
 Monomial = tuple[int, int]
@@ -92,23 +93,12 @@ _INFEASIBLE = FeasibilityResult("infeasible", None, 0)
 
 def solve_support_system(monomials, degree: int) -> FeasibilityResult:
     """Exact positivity decision for an arbitrary monomial set (no pruning)."""
-    mons = tuple(monomials)
-    columns = [line_column(m, degree) for m in mons]
+    columns = [line_column(m, degree) for m in monomials]
     rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
-    outcome = eliminate(columns, rhs)
-    if outcome is None:
+    t_star, u, freedom = max_min_component(columns, rhs)
+    if t_star is None:
         return _INFEASIBLE
-    rank, pivots, rows = outcome
-    n = len(mons)
-    if rank == n:
-        coeffs = back_substitute(pivots, rows, [Fraction(0)] * n)
-        if all(c > 0 for c in coeffs):
-            return FeasibilityResult("point", tuple(coeffs), 0)
-        return _INFEASIBLE
-    t_star, u = max_min_component(columns, rhs)
-    if t_star is None or t_star <= 0:
-        return _INFEASIBLE
-    return FeasibilityResult("polytope", u, n - rank)
+    return FeasibilityResult("point" if freedom == 0 else "polytope", u, freedom)
 
 
 def feasible(support: Support) -> FeasibilityResult:
@@ -199,13 +189,9 @@ def _search_block(degree: int, terms: int, first_indices, deadline):
 
     witnesses: list[SharpWitness] = []
     examined = pruned = 0
-    ticker = 0
     for first in first_indices:
         mask0 = bit[first]
         for rest in combinations(range(first + 1, n_universe), terms - 1):
-            ticker += 1
-            if deadline is not None and not (ticker & 0xFFF) and time.monotonic() > deadline:
-                return witnesses, examined, pruned, False
             mask = mask0
             for i in rest:
                 mask |= bit[i]
@@ -218,6 +204,9 @@ def _search_block(degree: int, terms: int, first_indices, deadline):
             if mirrored < list(combo):
                 pruned += 1
                 continue
+            # before every solve: one solve can take seconds at high freedom
+            if deadline is not None and time.monotonic() > deadline:
+                return witnesses, examined, pruned, False
             examined += 1
             mons = tuple(universe[i] for i in combo)
             res = solve_support_system(mons, degree)
@@ -285,24 +274,6 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     witnesses.sort(key=lambda w: w.support.monomials)
     stats.elapsed_seconds = time.monotonic() - start
     return witnesses, exhaustive, stats
-
-
-def enumerate_naive(degree: int, terms: int) -> list[SharpWitness]:
-    """Completeness oracle: every size-``terms`` subset, no pruning, no symmetry.
-
-    Feasible supports whose realized polynomial has the requested degree are
-    returned (both orientations of asymmetric supports appear).  Intended
-    for small degrees only.
-    """
-    universe = monomial_universe(degree)
-    out = []
-    for combo in combinations(universe, terms):
-        res = solve_support_system(combo, degree)
-        if res.feasible:
-            poly = Polynomial(2, dict(zip(combo, res.coefficients)))
-            if poly.degree() == degree:
-                out.append(SharpWitness(Support(degree, combo), poly, res.freedom))
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import sympy
 
 from sharpmap import Polynomial
+from sharpmap.search import SharpWitness, Support, monomial_universe, solve_support_system
 
 
 def family_by_radical_expansion(d: int) -> Polynomial:
@@ -131,3 +132,20 @@ def max_min_by_vertices(columns, rhs):
             t = Fraction(int(x[n].p), int(x[n].q))
             best = t if best is None else max(best, t)
     return best
+
+
+def enumerate_naive(degree: int, terms: int) -> list[SharpWitness]:
+    """Completeness oracle: every size-``terms`` subset, no pruning, no symmetry.
+
+    Feasible supports whose realized polynomial has the requested degree are
+    returned (both orientations of asymmetric supports appear).  Intended
+    for small degrees only.
+    """
+    out = []
+    for combo in itertools.combinations(monomial_universe(degree), terms):
+        res = solve_support_system(combo, degree)
+        if res.feasible:
+            poly = Polynomial(2, dict(zip(combo, res.coefficients)))
+            if poly.degree() == degree:
+                out.append(SharpWitness(Support(degree, combo), poly, res.freedom))
+    return out

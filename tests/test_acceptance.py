@@ -17,7 +17,6 @@ from sharpmap import (
     check_sphere_numeric,
     cli,
     congruence_class,
-    enumerate_naive,
     enumerate_sharp,
     equivalent,
     even_family,
@@ -43,6 +42,8 @@ from sharpmap import (
 )
 from sharpmap.gaps import T, frobenius
 from sharpmap.search import FAILS, UNIQUE, UNIQUE_UP_TO_EQUIVALENCE
+
+from .oracles import enumerate_naive
 
 _GENERATED = []  # polynomials produced by criteria 1-9, swept by criterion 11
 

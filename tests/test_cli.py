@@ -99,6 +99,12 @@ class TestSearch:
         assert code == cli.EXIT_BUDGET
         assert report["outputs"]["result"]["status"] == "unknown"
 
+    def test_budget_exhaustion_with_fixed_terms(self, capsys):
+        code, report = run(capsys, "search", "--degree", "4", "--terms", "10",
+                           "--budget-seconds", "0.5")
+        assert code == cli.EXIT_BUDGET
+        assert report["outputs"]["exhaustive"] is False
+
     def test_fixed_terms(self, capsys):
         code, report = run(capsys, "search", "--degree", "5", "--terms", "4")
         assert code == 0 and passed_all(report)

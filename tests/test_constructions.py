@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from sharpmap import (
-    HCoefficient,
     Polynomial,
     equivalent,
     f,
@@ -150,12 +149,6 @@ class TestHCoefficients:
             scale = 2 ** (4 * m - 1)
             for s in range(1, 2 * m):
                 assert h_coeff_closed(m, s) == scale * p.coefficient((4 * m - 1 - 2 * s, s))
-
-    def test_record_type_validates(self):
-        rec = HCoefficient.compute(6, 4)
-        assert rec.value > 0
-        assert HCoefficient.compute(6, 1).value == 0
-        assert HCoefficient.compute(6, 2).value == 0
 
     def test_inequality_window(self):
         for m in range(4, 41):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,13 +45,20 @@ def signed_line_systems(draw):
 # sympy 1.14's simplex returns a point off A u = rhs here
 @example(([[1, -2, 1, 0], [0, 0, 1, 0], [0, 0, 1, -1], [1, 0, 0, 0], [0, 1, -2, 1]],
           [1, 0, 0, 0]))
+# full rank, and the unique solution (1, 0) has a zero component
+@example(([[1, 0], [0, 1]], [1, 0]))
 def test_max_min_component_matches_vertex_oracle(system):
     columns, rhs = system
-    t_star, u = max_min_component(columns, rhs)
-    assert t_star == max_min_by_vertices(columns, rhs)
-    if t_star is None:
-        assert u is None
+    t_star, u, freedom = max_min_component(columns, rhs)
+    A = sympy.Matrix(columns).T
+    rank = A.rank()
+    if rank == A.row_join(sympy.Matrix(rhs)).rank():  # consistent
+        assert freedom == len(columns) - rank
+    oracle = max_min_by_vertices(columns, rhs)
+    if oracle is None or oracle <= 0:
+        assert (t_star, u) == (None, None)
         return
+    assert t_star == oracle
     for r, target in enumerate(rhs):
         assert sum(u_i * col[r] for u_i, col in zip(u, columns)) == target
     assert min(u) >= t_star

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
+import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -14,7 +18,6 @@ from hypothesis import strategies as st
 from sharpmap import (
     Polynomial,
     Support,
-    enumerate_naive,
     enumerate_sharp,
     f,
     feasible,
@@ -33,7 +36,7 @@ from sharpmap.search import (
     solve_support_system,
 )
 
-from .oracles import max_min_by_vertices
+from .oracles import enumerate_naive, max_min_by_vertices
 
 
 def support_of(p):
@@ -160,6 +163,24 @@ def test_solve_support_system_matches_sympy(monomials):
         assert A * u == b and min(result.coefficients) > 0
 
 
+def test_solver_outcomes_are_pinned():
+    # every support of size <= 6 at d <= 4: a solver change that moves any
+    # point, polytope witness or freedom shows here
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for d in range(1, 5):
+        for size in range(1, 7):
+            for combo in combinations(monomial_universe(d), size):
+                res = solve_support_system(combo, d)
+                outcomes[res.status, res.freedom] += 1
+                coeffs = None if res.coefficients is None else [str(c) for c in res.coefficients]
+                digest.update(repr((combo, res.status, coeffs, res.freedom)).encode())
+    assert outcomes == {("infeasible", 0): 9797, ("point", 0): 129, ("polytope", 1): 719,
+                        ("polytope", 2): 217, ("polytope", 3): 3}
+    assert digest.hexdigest() == \
+        "b7ca228a595405a92d70e9adc6e49c22366b4b775b2a93c5204ff60925d4c9ef"
+
+
 class TestEnumerate:
     def test_degree3_unique_class(self):
         witnesses, exhaustive, _ = enumerate_sharp(3, 3)
@@ -272,7 +293,6 @@ class TestPruningRules:
     def test_no_top_degree_monomial(self):
         for d in (3, 4, 5):
             universe = [m for m in monomial_universe(d) if m[0] + m[1] < d]
-            from itertools import combinations
             for combo in combinations(universe, 3):
                 res = solve_support_system(combo, d)
                 if res.feasible:
@@ -280,7 +300,6 @@ class TestPruningRules:
                     assert poly_degree < d  # realizes a lower degree, not d
 
     def test_missing_pure_term_is_infeasible(self):
-        from itertools import combinations
         for d in (2, 3, 4, 5):
             universe = monomial_universe(d)
             for combo in combinations(universe, 3):
@@ -290,7 +309,6 @@ class TestPruningRules:
                     assert not solve_support_system(combo, d).feasible, combo
 
     def test_top_slice_parity_rule(self):
-        from itertools import combinations
         for d in (3, 4, 5):
             universe = monomial_universe(d)
             for combo in combinations(universe, 3):
@@ -346,6 +364,15 @@ class TestUniqueness:
         result = uniqueness_status(9, budget_seconds=0.05)
         assert result.status == UNKNOWN
         assert result.certificate is None
+
+    def test_budget_checked_before_every_solve(self):
+        # only 3,003 candidates, so the deadline must be checked per solve,
+        # not per block of candidates; one solve here can take seconds,
+        # hence the loose bound
+        start = time.monotonic()
+        _, exhaustive, _ = enumerate_sharp(4, 10, budget_seconds=0.5)
+        assert not exhaustive
+        assert time.monotonic() - start < 10
 
     def test_budget_exhaustion_partial_enumeration(self):
         witnesses, exhaustive, stats = enumerate_sharp(9, 6, budget_seconds=0.05)
