@@ -76,7 +76,6 @@ from .search import (
     Support,
     UniquenessResult,
     enumerate_sharp,
-    feasible,
     minimal_terms,
     uniqueness_status,
 )

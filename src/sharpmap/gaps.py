@@ -37,7 +37,7 @@ from .polynomial import (
     assert_term_bound,
     is_map_polynomial,
     is_one_on_hyperplane,
-    line_column,
+    line_columns,
     signature,
 )
 
@@ -260,8 +260,8 @@ def signature_impossible(requested: Signature, max_degree: int) -> bool:
     Enumerates every support of size n_plus + n_minus over monomials of
     total degree <= max_degree (constant included) together with every
     assignment of signs to the support, and decides each case with an exact
-    linear program (flip the sign-designated restriction columns; a witness
-    with that exact sign pattern exists iff the max-min optimum is
+    linear program (flip the sign-designated columns of ``line_columns``; a
+    witness with that exact sign pattern exists iff the max-min optimum is
     positive).  Sound only as a verification up to the stated degree.
     """
     count = requested.n_plus + requested.n_minus
@@ -272,9 +272,9 @@ def signature_impossible(requested: Signature, max_degree: int) -> bool:
     monomials = [(a, b) for a in range(max_degree + 1)
                  for b in range(max_degree + 1 - a)]
     for support in combinations(monomials, count):
-        degree = max(a + b for a, b in support)
-        rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
-        cols = [line_column(mon, degree) for mon in support]
+        table = line_columns(max(a + b for a, b in support))
+        rhs = table[(0, 0)]
+        cols = [table[mon] for mon in support]
         for positives in combinations(range(count), requested.n_plus):
             pos = set(positives)
             signed = [col if i in pos else [-v for v in col]

@@ -15,11 +15,17 @@ The central predicates:
     between unit spheres: z |-> (sqrt(c_a) z^a)_a satisfies
     ||f(z)||^2 = p(|z_1|^2, ..., |z_n|^2), so ||f(z)||^2 = 1 on the sphere.
 
+Both rest on ``restrict_to_hyperplane``, the one substitution
+x_n = 1 - x_1 - ... - x_{n-1} for every arity.  The search reads its linear
+systems from ``line_columns(d)``, the restrictions of every x^a y^b with
+a + b <= d, which that same routine builds once per degree.
+
 Values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -203,20 +209,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not supported")
-        result = Polynomial.constant(self._nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
         """Internal constructor skipping validation; terms must be canonical.
@@ -365,17 +357,6 @@ def alternating_row(e: int) -> list[int]:
     return row
 
 
-def line_column(mon: tuple[int, int], degree: int) -> tuple[int, ...]:
-    """Coefficients of x^a (1-x)^b in the basis 1, x, ..., x^degree.
-
-    This is x^a y^b restricted to the line x + y = 1.
-    """
-    a, b = mon
-    col = [0] * (degree + 1)
-    col[a:a + b + 1] = alternating_row(b)
-    return tuple(col)
-
-
 def _one_minus_sum_power(m: int, e: int) -> list[tuple[Exponents, int]]:
     """Terms of (1 - x_1 - ... - x_m)^e as (exponent, integer coefficient) pairs.
 
@@ -416,6 +397,26 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
             out[key] = out.get(key, 0) + scaled * v
     p._restricted = Polynomial._raw(m, {k: Fraction(v, den) for k, v in out.items() if v})
     return p._restricted
+
+
+@functools.cache
+def line_columns(degree: int) -> Mapping[tuple[int, int], tuple[int, ...]]:
+    """Read-only table of x^a y^b restricted to the line x + y = 1, a + b <= degree.
+
+    Keys are the monomials (a, b) in graded-lex order.  The value of (a, b)
+    holds the integer coefficients of ``restrict_to_hyperplane(x^a y^b)``,
+    that is of x^a (1-x)^b, in the basis 1, x, ..., x^degree; the value of
+    (0, 0) is the restriction of the constant 1.  Built once per degree and
+    shared by every caller, hence read-only.
+    """
+    table = {}
+    for t in range(degree + 1):
+        for a in range(t + 1):
+            col = [0] * (degree + 1)
+            for (k,), c in restrict_to_hyperplane(Polynomial(2, {(a, t - a): 1})).terms.items():
+                col[k] = c.numerator
+            table[(a, t - a)] = tuple(col)
+    return MappingProxyType(table)
 
 
 def is_one_on_hyperplane(p: Polynomial) -> bool:

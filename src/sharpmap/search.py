@@ -5,14 +5,17 @@ polynomial with that support exists iff the linear system
 
     sum_i c_i x^(a_i) (1-x)^(b_i)  ==  1     (as a polynomial in x)
 
-has a strictly positive rational solution.  One exact call,
-``linprog.max_min_component``, decides it for every rank: integer reduced
-echelon form decides consistency and rank, a coefficient that the
-equations pin is rejected by its integer sign, and over the solution set
-p + span(v_1..v_k) the minimum coefficient t is maximized over the k
-parameters; a strictly positive solution exists iff the optimum satisfies
-t > 0.  A unique solution (k = 0) is a point, any other a polytope.  No
-floating point enters the decision anywhere.
+has a strictly positive rational solution.  Its columns, the restrictions
+of the x^(a_i) y^(b_i) to x + y = 1, and its right-hand side, that of the
+constant 1, come from ``polynomial.line_columns(d)``, which the same
+hyperplane restriction that checks every polynomial builds once per degree.
+One exact call, ``linprog.max_min_component``, decides it for every rank:
+integer reduced echelon form decides consistency and rank, a coefficient
+that the equations pin is rejected by its integer sign, and over the
+solution set p + span(v_1..v_k) the minimum coefficient t is maximized
+over the k parameters; a strictly positive solution exists iff the optimum
+satisfies t > 0.  A unique solution (k = 0) is a point, any other a
+polytope.  No floating point enters the decision anywhere.
 
 Support enumeration applies four pruning rules, each with a one-line proof:
 
@@ -44,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linprog import max_min_component
-from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_column
+from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_columns
 
 Monomial = tuple[int, int]
 
@@ -92,18 +95,21 @@ _INFEASIBLE = FeasibilityResult("infeasible", None, 0)
 
 
 def solve_support_system(monomials, degree: int) -> FeasibilityResult:
-    """Exact positivity decision for an arbitrary monomial set (no pruning)."""
-    columns = [line_column(m, degree) for m in monomials]
-    rhs = [1 if t == 0 else 0 for t in range(degree + 1)]
-    t_star, u, freedom = max_min_component(columns, rhs)
+    """Exact positivity decision for an arbitrary monomial set (no pruning).
+
+    The columns and the right-hand side, the column of the constant 1, are
+    read from ``line_columns(degree)``; a monomial of total degree above
+    ``degree`` raises ValueError.
+    """
+    table = line_columns(degree)
+    try:
+        columns = [table[m] for m in monomials]
+    except KeyError as exc:
+        raise ValueError(f"monomial {exc.args[0]} is not x^a y^b with a + b <= {degree}") from None
+    t_star, u, freedom = max_min_component(columns, table[(0, 0)])
     if t_star is None:
         return _INFEASIBLE
     return FeasibilityResult("point" if freedom == 0 else "polytope", u, freedom)
-
-
-def feasible(support: Support) -> FeasibilityResult:
-    """Positivity decision for a validated support."""
-    return solve_support_system(support.monomials, support.degree)
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -154,9 +160,7 @@ class SharpCertificate:
 
 def monomial_universe(degree: int) -> list[Monomial]:
     """All candidate monomials of total degree <= degree, in graded-lex order."""
-    mons = [(a, t - a) for t in range(degree + 1) for a in range(t + 1)]
-    mons.sort(key=lambda m: (m[0] + m[1], m))
-    return mons
+    return list(line_columns(degree))
 
 
 def _witness_from_result(mons: tuple[Monomial, ...], degree: int,

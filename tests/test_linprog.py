@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sharpmap.linprog import max_min_component
-from sharpmap.polynomial import line_column
+from sharpmap.polynomial import line_columns
 
 from .oracles import max_min_by_vertices
 
@@ -33,8 +33,9 @@ def signed_line_systems(draw):
     degree = max(a + b for a, b in support)
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(support),
                           max_size=len(support)))
-    columns = [[s * v for v in line_column(mon, degree)] for s, mon in zip(signs, support)]
-    return columns, [1 if t == 0 else 0 for t in range(degree + 1)]
+    table = line_columns(degree)
+    columns = [[s * v for v in table[mon]] for s, mon in zip(signs, support)]
+    return columns, list(table[(0, 0)])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import os
 import time
@@ -20,7 +21,6 @@ from sharpmap import (
     Support,
     enumerate_sharp,
     f,
-    feasible,
     is_map_polynomial,
     minimal_terms,
     mod6,
@@ -52,17 +52,20 @@ def canonical_class(monomials):
 
 class TestFeasible:
     def test_f7_support_is_a_point(self):
-        res = feasible(Support(7, support_of(f(7))))
+        s = Support(7, support_of(f(7)))
+        res = solve_support_system(s.monomials, s.degree)
         assert res.status == "point"
         assert sorted(res.coefficients) == [1, 1, 7, 7, 14]
 
     def test_degree2_point(self):
-        res = feasible(Support(2, ((2, 0), (1, 1), (0, 1))))
+        s = Support(2, ((2, 0), (1, 1), (0, 1)))
+        res = solve_support_system(s.monomials, s.degree)
         assert res.status == "point"
         assert res.coefficients == (Fraction(1), Fraction(1), Fraction(1))
 
     def test_degree1_pair(self):
-        res = feasible(Support(1, ((1, 0), (0, 1))))
+        s = Support(1, ((1, 0), (0, 1)))
+        res = solve_support_system(s.monomials, s.degree)
         assert res.status == "point" and res.coefficients == (Fraction(1), Fraction(1))
 
     def test_degree_mismatch_rejected(self):
@@ -71,7 +74,8 @@ class TestFeasible:
 
     def test_x_y_xy_support_infeasible(self):
         # the only solution forces the xy coefficient to zero
-        res = feasible(Support(2, ((1, 0), (0, 1), (1, 1))))
+        s = Support(2, ((1, 0), (0, 1), (1, 1)))
+        res = solve_support_system(s.monomials, s.degree)
         assert res.status == "infeasible"
 
     def test_missing_pure_terms_rejected(self):
@@ -79,7 +83,8 @@ class TestFeasible:
             Support(2, ((1, 1), (2, 0)))  # no x-exponent-0 term
 
     def test_polytope_detected(self):
-        res = feasible(Support(2, ((2, 0), (1, 1), (0, 2), (0, 1))))
+        s = Support(2, ((2, 0), (1, 1), (0, 2), (0, 1)))
+        res = solve_support_system(s.monomials, s.degree)
         assert res.status == "polytope"
         assert res.freedom == 1
         assert all(c > 0 for c in res.coefficients)
@@ -91,11 +96,16 @@ class TestFeasible:
         res = solve_support_system(((2, 0), (1, 0), (0, 1)), 2)
         assert res.status == "infeasible"
 
+    def test_monomial_above_degree_rejected(self):
+        # x^3 has no row at degree 2; cutting that row would give a false polytope
+        with pytest.raises(ValueError, match=r"\(0, 3\).* 2"):
+            solve_support_system(((2, 0), (1, 1), (0, 1), (0, 3)), 2)
+
     def test_deterministic(self):
         support = Support(2, ((2, 0), (1, 1), (0, 2), (0, 1)))
-        first = feasible(support)
+        first = solve_support_system(support.monomials, support.degree)
         for _ in range(3):
-            again = feasible(support)
+            again = solve_support_system(support.monomials, support.degree)
             assert again.status == first.status
             assert again.coefficients == first.coefficients
 
@@ -124,7 +134,7 @@ def supports_with_pure_powers(draw):
 def supports_around_maps(draw):
     """The support of f(d), d <= 5, or of (x + y)^k, k <= 4, with up to two more monomials."""
     base = draw(st.sampled_from([f(d) for d in range(1, 6)]
-                                + [X_PLUS_Y ** k for k in (2, 3, 4)]))
+                                + [math.prod([X_PLUS_Y] * k) for k in (2, 3, 4)]))
     degree = base.degree()
     extra = draw(st.lists(st.sampled_from([m for m in MONOMIALS_UP_TO_5 if sum(m) <= degree]),
                           max_size=2, unique=True))
@@ -371,6 +381,14 @@ class TestUniqueness:
         # hence the loose bound
         start = time.monotonic()
         _, exhaustive, _ = enumerate_sharp(4, 10, budget_seconds=0.5)
+        assert not exhaustive
+        assert time.monotonic() - start < 10
+
+    def test_budget_holds_over_freedom_five_solves(self):
+        # the 134th solve is a freedom-5 polytope; without dropping dominated
+        # Fourier-Motzkin rows it alone takes over 10 s
+        start = time.monotonic()
+        _, exhaustive, _ = enumerate_sharp(4, 10, budget_seconds=2)
         assert not exhaustive
         assert time.monotonic() - start < 10
 
