@@ -1,6 +1,6 @@
 """Constructions of sharp polynomials inequivalent to the f(d) family.
 
-All three constructions rewrite a block of consecutive terms of f(d) using
+All four constructions rewrite a block of consecutive terms of f(d) using
 an identity that holds on the line x + y = 1:
 
   * ``q(d)``      uses x^2 + 2y = 1 + y^2 at a site where consecutive
@@ -13,10 +13,11 @@ an identity that holds on the line x + y = 1:
   * ``h(m)``      subtracts (4m-1) x^(2m-1) y (f(2m-2) - 1), which vanishes
                   on the line, from f(4m-1); covers every degree 3 mod 4.
 
-Every construction records the consumed and produced terms in a
-``ReplacementStep`` whose defining invariant (the difference vanishes on the
-line) is verified exactly, and asserts membership, degree, term count and
-inequivalence before returning.
+Every construction is data for one rewrite routine: it records the degree d
+and the consumed and produced terms in a ``ReplacementStep``, whose defining
+invariant (the difference vanishes on the line) is verified exactly.  The
+routine applies the step to f(d) and asserts membership, degree, the sharp
+term count (d+3)/2 and inequivalence to f(d) before returning.
 """
 
 from __future__ import annotations
@@ -42,16 +43,24 @@ IDENTITY_QUARTIC = "x^4 + 4x^2y + 2y^2 = 1 + y^4 on x+y=1"
 
 @dataclass(frozen=True)
 class ReplacementStep:
-    """Record of one rewrite: terms removed, terms added, identity used."""
+    """Record of one rewrite of f(degree): terms removed, terms added, identity used.
+
+    ``degree`` names the family member rewritten; the JSON record omits it.
+    """
 
     consumed: TermList
     produced: TermList
     line_identity: str
+    degree: int
+
+    def is_neutral(self) -> bool:
+        """True iff the consumed-minus-produced difference vanishes on the line."""
+        diff = Polynomial(2, self.consumed) - Polynomial(2, self.produced)
+        return restrict_to_hyperplane(diff).is_zero()
 
     def validate(self) -> None:
-        """The consumed-minus-produced difference must vanish on the line."""
-        diff = Polynomial(2, self.consumed) - Polynomial(2, self.produced)
-        if not restrict_to_hyperplane(diff).is_zero():
+        """Raise ``AssertionError`` unless the step is neutral on the line."""
+        if not self.is_neutral():
             raise AssertionError(f"replacement is not neutral on the line: {self}")
 
     def to_json_dict(self) -> dict:
@@ -66,19 +75,19 @@ class ReplacementStep:
         }
 
 
-def _apply(base: Polynomial, step: ReplacementStep) -> Polynomial:
+def _rewrite(step: ReplacementStep, label: str) -> Polynomial:
+    """Apply ``step`` to f(step.degree); the result must be a new sharp polynomial."""
     step.validate()
-    return base - Polynomial(2, step.consumed) + Polynomial(2, step.produced)
-
-
-def _finalize(p: Polynomial, d: int, terms: int, label: str) -> Polynomial:
+    d = step.degree
+    base = f(d)
+    p = base - Polynomial(2, step.consumed) + Polynomial(2, step.produced)
     if not is_map_polynomial(p):
         raise AssertionError(f"{label}: output has a negative coefficient or is not 1 on the line")
     if p.degree() != d:
         raise AssertionError(f"{label}: degree {p.degree()}, expected {d}")
-    if p.term_count() != terms:
-        raise AssertionError(f"{label}: {p.term_count()} terms, expected {terms}")
-    if equivalent(p, f(d)):
+    if p.term_count() != (d + 3) // 2:
+        raise AssertionError(f"{label}: {p.term_count()} terms, expected {(d + 3) // 2}")
+    if equivalent(p, base):
         raise AssertionError(f"{label}: output is equivalent to f({d})")
     assert_term_bound(p)
     return p
@@ -130,9 +139,9 @@ def q_with_trace(d: int) -> tuple[Polynomial, ReplacementStep]:
         consumed=(((a, s), ks), ((a - 2, s + 1), 2 * ks)),
         produced=(((a - 2, s), ks), ((a - 2, s + 2), ks)),
         line_identity=IDENTITY_QUADRATIC,
+        degree=d,
     )
-    result = _apply(f(d), step)
-    return _finalize(result, d, (d + 3) // 2, f"q({d})"), step
+    return _rewrite(step, f"q({d})"), step
 
 
 def q(d: int) -> Polynomial:
@@ -151,15 +160,14 @@ def h_with_trace(m: int) -> tuple[Polynomial, ReplacementStep]:
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    d = 4 * m - 1
     multiplier = Polynomial(2, {(2 * m - 1, 1): 4 * m - 1})
     delta = multiplier * (f(2 * m - 2) - Polynomial.constant(2, 1))
     consumed = tuple((e, c) for e, c in delta.canonical_terms() if c > 0)
     produced = tuple((e, -c) for e, c in delta.canonical_terms() if c < 0)
     step = ReplacementStep(consumed, produced,
-                           line_identity=f"f({2 * m - 2}) = 1 on x+y=1")
-    result = _apply(f(d), step)
-    result = _finalize(result, d, 2 * m + 1, f"h({m})")
+                           line_identity=f"f({2 * m - 2}) = 1 on x+y=1",
+                           degree=4 * m - 1)
+    result = _rewrite(step, f"h({m})")
     for exp in ((4 * m - 3, 1), (4 * m - 5, 2)):
         if result.coefficient(exp) != 0:
             raise AssertionError(f"h({m}): coefficient at {exp} did not cancel")
@@ -239,7 +247,6 @@ def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    d = 6 * k + 1
     r, s = 3 * k, 2 * k
     k_lo = Fraction(f_coefficient(r, s - 1))
     k_mid = Fraction(f_coefficient(r, s))
@@ -259,9 +266,9 @@ def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
                   ((a - 4, s - 1), quarter),
                   ((a - 4, s + 3), quarter)),
         line_identity=IDENTITY_QUARTIC,
+        degree=6 * k + 1,
     )
-    result = _apply(f(d), step)
-    return _finalize(result, d, 3 * k + 2, f"mod6({k})"), step
+    return _rewrite(step, f"mod6({k})"), step
 
 
 def mod6(k: int) -> Polynomial:
@@ -318,15 +325,14 @@ def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, Replacement
     if excess == 0:
         # would yield r+1 terms, contradicting the sharp bound (d+3)/2
         raise AssertionError(f"site ({r},{s}) has exact excess zero")
-    d = 2 * r + 1
     a = 2 * r + 1 - 2 * s
     step = ReplacementStep(
         consumed=(((a, s), ks), ((a - 2, s + 1), 4 * ks), ((a - 4, s + 2), ks2)),
         produced=(((a - 4, s), ks), ((a - 4, s + 2), excess), ((a - 4, s + 4), ks)),
         line_identity=IDENTITY_QUARTIC,
+        degree=2 * r + 1,
     )
-    result = _apply(f(d), step)
-    return _finalize(result, d, r + 2, f"ratio4({r},{s})"), step
+    return _rewrite(step, f"ratio4({r},{s})"), step
 
 
 def ratio4_construct(r: int, s: int) -> Polynomial:

@@ -5,12 +5,20 @@ roots of t^2 - x t - y: with g_0 = 2, g_1 = x and g_d = x g_{d-1} + y g_{d-2},
 
     f_d = g_d + (-1)^(d+1) y^d.
 
+The recurrence is the definition; ``f`` builds g_d from Waring's closed
+form for the same power sums,
+
+    g_d = sum over 0 <= 2s <= d of  d/(d-s) * C(d-s, s) * x^(d-2s) y^s,
+
+whose coefficients are integers.  For d >= 1 every monomial of g_d has
+y-degree s <= d/2 < d, so the tail y^d never merges with a term of g_d.
+
 For every d, f_d equals 1 on the line x + y = 1 and has degree d; for odd
 d = 2r + 1 all coefficients are positive and there are (d+3)/2 distinct
 monomials, which attains the minimal possible term count for that degree.
-The coefficient of x^(2r+1-2s) y^s is the integer
+The coefficient of x^(2r+1-2s) y^s is Waring's coefficient at d = 2r + 1,
 
-    K(r, s) = (2r+1)/s * C(2r-s, s-1).
+    K(r, s) = (2r+1)/(2r+1-s) * C(2r+1-s, s) = (2r+1)/s * C(2r-s, s-1).
 
 ``even_u`` and ``even_family`` give minimal-term examples in even degree by
 splicing one odd-degree family member into another.
@@ -20,31 +28,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .polynomial import Polynomial, assert_term_bound, equivalent, is_map_polynomial
 
 
-@lru_cache(maxsize=128)
-def _power_sum_terms(d: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Terms of g_d as ((a, b), int coefficient) pairs; pure int arithmetic."""
-    g_prev: dict[tuple[int, int], int] = {(0, 0): 2}   # g_0
-    g: dict[tuple[int, int], int] = {(1, 0): 1}        # g_1
-    if d == 0:
-        return tuple(g_prev.items())
-    for _ in range(d - 1):
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, b), c in g.items():
-            nxt[(a + 1, b)] = nxt.get((a + 1, b), 0) + c
-        for (a, b), c in g_prev.items():
-            key = (a, b + 1)
-            v = nxt.get(key, 0) + c
-            if v:
-                nxt[key] = v
-            else:
-                nxt.pop(key, None)
-        g_prev, g = g, nxt
-    return tuple(g.items())
+def _waring_coefficient(d: int, s: int) -> int:
+    """d/(d-s) * C(d-s, s), the coefficient of x^(d-2s) y^s in g_d; checked integral."""
+    value, remainder = divmod(d * math.comb(d - s, s), d - s)
+    if remainder:
+        raise AssertionError(f"coefficient of x^{d - 2 * s} y^{s} in g_{d} is not an integer")
+    return value
 
 
 def f(d: int) -> Polynomial:
@@ -55,16 +48,8 @@ def f(d: int) -> Polynomial:
     """
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
-    terms: dict[tuple[int, int], Fraction] = {
-        exp: Fraction(c) for exp, c in _power_sum_terms(d)
-    }
-    tail = (0, d)
-    sign = 1 if d % 2 else -1
-    v = terms.get(tail, Fraction(0)) + sign
-    if v:
-        terms[tail] = v
-    else:
-        terms.pop(tail, None)
+    terms = {(d - 2 * s, s): _waring_coefficient(d, s) for s in range(d // 2 + 1)}
+    terms[(0, d)] = 1 if d % 2 else -1
     return Polynomial(2, terms)
 
 
@@ -75,10 +60,7 @@ def f_coefficient(r: int, s: int) -> int:
     """
     if not 1 <= s <= r:
         raise ValueError(f"s must satisfy 1 <= s <= r, got r={r}, s={s}")
-    value = Fraction(2 * r + 1, s) * math.comb(2 * r - s, s - 1)
-    if value.denominator != 1:
-        raise AssertionError(f"K({r},{s}) is not an integer: {value}")
-    return value.numerator
+    return _waring_coefficient(2 * r + 1, s)
 
 
 def coefficient_ratio(r: int, s: int) -> Fraction:

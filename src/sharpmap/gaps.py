@@ -98,8 +98,9 @@ def V(p: Polynomial) -> Polynomial:
 def decompose_target(n: int, N: int) -> tuple[int, int] | None:
     """Nonnegative (j, k) with j(n-1) + kn = N - n and j minimal, or None.
 
-    None is returned exactly when N - n is not representable by n-1 and n;
-    this can only happen for N < T(n).
+    None is returned exactly when N - n is not a nonnegative combination of
+    n-1 and n, so that no V^k W^j s has N terms; this can only happen for
+    N < T(n).  It does not mean that no N-term map polynomial exists.
     """
     if n < 2:
         raise ValueError("decomposition needs n >= 2")
@@ -137,8 +138,9 @@ def gap_witness(n: int, N: int) -> GapWitness:
     """Construct V^k W^j s with exactly N terms (n >= 2), or the n = 1 split.
 
     For n = 1 any N >= 1 works: sum of (1/N) x^i for i = 1..N.  For n >= 2
-    the decomposition exists whenever N >= T(n) and for the sporadic
-    representable values below it.
+    the decomposition exists whenever N >= T(n) and for some N below it;
+    elsewhere V^k W^j s does not reach N and ``ValueError`` is raised, which
+    says nothing about other N-term map polynomials.
     """
     if n < 1 or N < 1:
         raise ValueError("dimensions must be positive")
@@ -149,8 +151,8 @@ def gap_witness(n: int, N: int) -> GapWitness:
         decomposition = decompose_target(n, N)
         if decomposition is None:
             raise ValueError(
-                f"N={N} is a genuine gap for n={n}: N-n={N - n} is not a "
-                f"nonnegative combination of {n - 1} and {n} (threshold T({n})={T(n)})")
+                f"N-n={N - n} is not a nonnegative combination of {n - 1} and {n}, "
+                f"so no V^k W^j s has N={N} terms for n={n}")
         j, k = decomposition
         poly = _s(n)
         for _ in range(j):
@@ -222,6 +224,9 @@ def signature_witness(recipe: str, n: int = 2, r: int = 1,
         raise ValueError(f"unknown recipe {recipe!r}; choose from {SIGNATURE_RECIPES}")
     if n < 1:
         raise ValueError("n must be positive")
+    if recipe in ("f_odd", "two_minus_f_odd") and n != 2:
+        raise ValueError(f"recipe {recipe} builds a polynomial in two variables, "
+                         f"so n (--n) must be 2, got {n}")
     s = _s(n)
     one = Polynomial.constant(n, 1)
     x1 = Polynomial.variable(n, 0)

@@ -2,8 +2,8 @@
 
 Each oracle deliberately takes a different computational route from the
 library code it checks: radical/binomial expansions instead of recurrences,
-brute-force scans instead of continued fractions, sympy instead of the
-in-package arithmetic.
+the defining recurrence instead of a closed form, brute-force scans instead
+of continued fractions, sympy instead of the in-package arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +35,23 @@ def family_by_radical_expansion(d: int) -> Polynomial:
     tail = (0, d)
     terms[tail] = terms.get(tail, Fraction(0)) + (1 if d % 2 else -1)
     return Polynomial(2, {e: c for e, c in terms.items() if c})
+
+
+def family_by_recurrence(d: int) -> Polynomial:
+    """f(d) = g_d + (-1)^(d+1) y^d from g_0 = 2, g_1 = x, g_d = x g_{d-1} + y g_{d-2}.
+
+    The defining recurrence, run with integer dictionaries: O(d^2) additions.
+    """
+    g_prev: dict[tuple[int, int], int] = {(0, 0): 2}
+    g: dict[tuple[int, int], int] = {(1, 0): 1}
+    for _ in range(d - 1):
+        nxt = {(a + 1, b): c for (a, b), c in g.items()}
+        for (a, b), c in g_prev.items():
+            nxt[(a, b + 1)] = nxt.get((a, b + 1), 0) + c
+        g_prev, g = g, nxt
+    terms = dict(g)
+    terms[(0, d)] = terms.get((0, d), 0) + (1 if d % 2 else -1)
+    return Polynomial(2, terms)
 
 
 def pell_fundamental_by_scan(lam: int) -> tuple[int, int]:

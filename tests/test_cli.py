@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 
 import pytest
 
 from sharpmap import cli
-from sharpmap.polynomial import Polynomial
+from sharpmap.polynomial import Polynomial, is_map_polynomial
 
 
 def run(capsys, *argv):
@@ -50,6 +52,30 @@ class TestConstruct:
     def test_invalid_degree_is_usage_error(self, capsys):
         code = cli.main(["construct", "q", "--degree", "9"])
         assert code == cli.EXIT_USAGE
+
+
+# SHA-256 of each report's stdout without its "timing_seconds" line.
+PINNED_REPORTS = {
+    ("construct", "q", "--degree", "97"):
+        "062babc40b886443b7e7d65c1d611e3f90d7438e2377bcf934897532ef722d0d",
+    ("construct", "h", "--m", "3"):
+        "dc5098f3a2f241f33051d23554c60113f6452ab92adc6a3abf8d74558ea9a000",
+    ("construct", "mod6", "--k", "2"):
+        "4aaa7358525a98c65c8d93d4481334ab71d3f02aa42d224472a5cab0708323eb",
+    ("construct", "ratio4", "--r", "5", "--s", "1"):
+        "1712b2d3d56d0084df6402843d866693fda9be7416f0af25ff90a74a9aba6a49",
+    ("family", "f", "--degree", "8"):
+        "04692b8796f875f1e2bedda867c7e44dfe1bb9722ecdf368337e96bb0320f67d",
+    ("family", "f", "--degree", "1351"):
+        "110eeb1e932191828775fc140102c7e1ffbf87e6f6c950cd2e9ccde2b75b8e65",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(capsys, argv):
+    assert cli.main(list(argv)) == cli.EXIT_OK
+    out = re.sub(r',\n  "timing_seconds": [^\n]*', "", capsys.readouterr().out, count=1)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
 class TestPell:
@@ -135,6 +161,19 @@ class TestGapsAndSignature:
     def test_gap_value_is_usage_error(self, capsys):
         assert cli.main(["gaps", "witness", "--n", "4", "--N", "9"]) == cli.EXIT_USAGE
 
+    def test_unreached_count_is_not_called_a_gap(self, capsys):
+        # x1 + x2 + (x3 + x4)(x1 + x2 + x3 + x4) has 9 terms in 4 variables,
+        # so N = 9 is no gap for n = 4, though V^k W^j s does not reach it
+        x = [Polynomial.variable(4, i) for i in range(4)]
+        p = x[0] + x[1] + (x[2] + x[3]) * (x[0] + x[1] + x[2] + x[3])
+        assert is_map_polynomial(p) and p.term_count() == 9
+        code = cli.main(["gaps", "witness", "--n", "4", "--N", "9"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "gap" not in lines[0]
+
     def test_table(self, capsys):
         code, report = run(capsys, "gaps", "table", "--n", "4", "--to", "14")
         assert code == 0 and passed_all(report)
@@ -147,6 +186,15 @@ class TestGapsAndSignature:
         assert code == 0 and passed_all(report)
         sig = report["outputs"]["witness"]["signature"]
         assert (sig["n_plus"], sig["n_minus"]) == (1, 2)
+
+    @pytest.mark.parametrize("recipe", ["f_odd", "two_minus_f_odd"])
+    def test_two_variable_recipe_rejects_other_n(self, capsys, recipe):
+        code = cli.main(["signature", "--recipe", recipe, "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--n" in lines[0]
 
 
 MALFORMED_FILES = {

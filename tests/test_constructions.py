@@ -1,7 +1,8 @@
-"""The three replacement constructions and the scaled h-coefficients."""
+"""The four replacement constructions and the scaled h-coefficients."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,27 @@ class TestQ:
     def test_no_site_error(self):
         with pytest.raises(ValueError):
             q(9)
+
+
+class TestRewrite:
+    @pytest.mark.parametrize("build, args", [
+        (q_with_trace, (97,)),
+        (h_with_trace, (3,)),
+        (mod6_with_trace, (2,)),
+        (ratio4_construct_with_trace, (5, 1)),
+    ])
+    def test_step_carries_its_degree(self, build, args):
+        poly, step = build(*args)
+        assert step.degree == poly.degree()
+        assert step.is_neutral()
+        assert "degree" not in step.to_json_dict()
+
+    def test_step_that_is_not_neutral_is_rejected(self):
+        _, step = q_with_trace(7)
+        broken = dataclasses.replace(step, produced=step.produced[:1])
+        assert not broken.is_neutral()
+        with pytest.raises(AssertionError):
+            broken.validate()
 
 
 class TestH:

@@ -18,7 +18,7 @@ from sharpmap import (
     poly2,
 )
 
-from .oracles import family_by_radical_expansion
+from .oracles import family_by_radical_expansion, family_by_recurrence
 
 
 class TestFamilyValues:
@@ -60,6 +60,10 @@ class TestFamilyProperties:
         for d in range(1, 41):
             assert f(d) == family_by_radical_expansion(d)
 
+    def test_matches_recurrence(self):
+        for d in [*range(1, 202), 1351]:
+            assert f(d) == family_by_recurrence(d)
+
 
 class TestCoefficients:
     def test_values(self):
@@ -73,6 +77,12 @@ class TestCoefficients:
             p = f(2 * r + 1)
             for s in range(1, r + 1):
                 assert p.coefficient((2 * r + 1 - 2 * s, s)) == f_coefficient(r, s)
+
+    def test_matches_recurrence(self):
+        for r in range(1, 41):
+            p = family_by_recurrence(2 * r + 1)
+            for s in range(1, r + 1):
+                assert f_coefficient(r, s) == p.coefficient((2 * r + 1 - 2 * s, s))
 
     def test_integrality_across_grid(self):
         for r in range(1, 41):
