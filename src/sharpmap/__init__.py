@@ -69,7 +69,6 @@ from .polynomial import (
     to_monomial_map,
 )
 from .search import (
-    BudgetExceededError,
     FeasibilityResult,
     SharpCertificate,
     SharpWitness,

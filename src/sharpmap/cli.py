@@ -147,6 +147,7 @@ def _cmd_pell(args) -> int:
                      all(s.a ** 2 - args.general_d * s.b ** 2 == args.general_n
                          for s in sols))
         return report.emit()
+    pell.validate_lambda(args.lam, "--lambda")
     report = Report("pell", {"lambda": args.lam, "count": args.count})
     sols = pell.solutions(args.lam, args.count)
     report.outputs["solutions"] = [s.to_json_dict() for s in sols]
@@ -227,8 +228,12 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    report = Report("signature", {"recipe": args.recipe, "n": args.n, "r": args.r})
-    witness = gaps.signature_witness(args.recipe, n=args.n, r=args.r)
+    if args.r is not None and args.recipe not in gaps.F_RECIPES:
+        raise ValueError(f"recipe {args.recipe} does not read --r, got {args.r}; "
+                         f"only {' and '.join(gaps.F_RECIPES)} do")
+    r = 1 if args.r is None else args.r
+    report = Report("signature", {"recipe": args.recipe, "n": args.n, "r": r})
+    witness = gaps.signature_witness(args.recipe, n=args.n, r=r)
     report.outputs["witness"] = witness.to_json_dict()
     report.check("polynomial is 1 on the hyperplane",
                  is_one_on_hyperplane(witness.poly))
@@ -339,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     signature_cmd.add_argument("--recipe", required=True,
                                choices=sorted(gaps.SIGNATURE_RECIPES))
     signature_cmd.add_argument("--n", type=int, default=2)
-    signature_cmd.add_argument("--r", type=int, default=1)
+    signature_cmd.add_argument("--r", type=int, default=None,
+                               help="r of f(2r+1) for the f-based recipes (default 1)")
     signature_cmd.set_defaults(handler=_cmd_signature)
 
     verify = sub.add_parser("verify", help="re-check a serialized polynomial")

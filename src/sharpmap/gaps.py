@@ -188,6 +188,8 @@ SIGNATURE_RECIPES = (
     "two_minus_f_odd",
     "append_negative",
 )
+# the recipes built from f(2r + 1): the only ones that read r, and two-variable
+F_RECIPES = ("f_odd", "two_minus_f_odd")
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ def signature_witness(recipe: str, n: int = 2, r: int = 1,
         raise ValueError(f"unknown recipe {recipe!r}; choose from {SIGNATURE_RECIPES}")
     if n < 1:
         raise ValueError("n must be positive")
-    if recipe in ("f_odd", "two_minus_f_odd") and n != 2:
+    if recipe in F_RECIPES and n != 2:
         raise ValueError(f"recipe {recipe} builds a polynomial in two variables, "
                          f"so n (--n) must be 2, got {n}")
     s = _s(n)
@@ -265,20 +267,21 @@ def signature_impossible(requested: Signature, max_degree: int) -> bool:
     Enumerates every support of size n_plus + n_minus over monomials of
     total degree <= max_degree (constant included) together with every
     assignment of signs to the support, and decides each case with an exact
-    linear program (flip the sign-designated columns of ``line_columns``; a
-    witness with that exact sign pattern exists iff the max-min optimum is
-    positive).  Sound only as a verification up to the stated degree.
+    linear program (flip the sign-designated columns of
+    ``line_columns(max_degree)``; a witness with that exact sign pattern
+    exists iff the max-min optimum is positive).  Sound only as a
+    verification up to the stated degree.
     """
     count = requested.n_plus + requested.n_minus
     if requested.n_plus == 0:
         # all-nonpositive coefficients give a nonpositive value at points of
         # the line with positive coordinates, so the value 1 is unreachable
         return True
-    monomials = [(a, b) for a in range(max_degree + 1)
-                 for b in range(max_degree + 1 - a)]
-    for support in combinations(monomials, count):
-        table = line_columns(max(a + b for a, b in support))
-        rhs = table[(0, 0)]
+    # a monomial of degree below max_degree has zero entries in the upper
+    # rows, as has the right-hand side, so one table serves every support
+    table = line_columns(max_degree)
+    rhs = table[(0, 0)]
+    for support in combinations(table, count):
         cols = [table[mon] for mon in support]
         for positives in combinations(range(count), requested.n_plus):
             pos = set(positives)

@@ -39,21 +39,16 @@ and no symmetry reduction, at small degrees.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 
 from .linprog import max_min_component
 from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_columns
 
 Monomial = tuple[int, int]
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a search cannot finish within its time budget."""
 
 
 @dataclass(frozen=True)
@@ -172,8 +167,12 @@ def _witness_from_result(mons: tuple[Monomial, ...], degree: int,
     return SharpWitness(Support(degree, mons), poly, res.freedom)
 
 
-def _search_block(degree: int, terms: int, first_indices, deadline):
-    """Enumerate supports whose smallest universe index lies in first_indices."""
+def _search_block(degree: int, terms: int, first: int, deadline):
+    """Enumerate the supports whose smallest universe index is ``first``."""
+    # a task taken after the deadline does no work: enumerating the pruned
+    # candidates of one first index alone can take seconds
+    if deadline is not None and time.monotonic() > deadline:
+        return [], 0, 0, False
     universe = monomial_universe(degree)
     n_universe = len(universe)
     index_of = {m: i for i, m in enumerate(universe)}
@@ -193,45 +192,29 @@ def _search_block(degree: int, terms: int, first_indices, deadline):
 
     witnesses: list[SharpWitness] = []
     examined = pruned = 0
-    for first in first_indices:
-        mask0 = bit[first]
-        for rest in combinations(range(first + 1, n_universe), terms - 1):
-            mask = mask0
-            for i in rest:
-                mask |= bit[i]
-            if not (mask & top_even and mask & top_odd
-                    and mask & pure_x and mask & pure_y):
-                pruned += 1
-                continue
-            combo = (first,) + rest
-            mirrored = sorted(swap_index[i] for i in combo)
-            if mirrored < list(combo):
-                pruned += 1
-                continue
-            # before every solve: one solve can take seconds at high freedom
-            if deadline is not None and time.monotonic() > deadline:
-                return witnesses, examined, pruned, False
-            examined += 1
-            mons = tuple(universe[i] for i in combo)
-            res = solve_support_system(mons, degree)
-            if res.feasible:
-                witnesses.append(_witness_from_result(mons, degree, res))
+    mask0 = bit[first]
+    for rest in combinations(range(first + 1, n_universe), terms - 1):
+        mask = mask0
+        for i in rest:
+            mask |= bit[i]
+        if not (mask & top_even and mask & top_odd
+                and mask & pure_x and mask & pure_y):
+            pruned += 1
+            continue
+        combo = (first,) + rest
+        mirrored = sorted(swap_index[i] for i in combo)
+        if mirrored < list(combo):
+            pruned += 1
+            continue
+        # before every solve: one solve can take seconds at high freedom
+        if deadline is not None and time.monotonic() > deadline:
+            return witnesses, examined, pruned, False
+        examined += 1
+        mons = tuple(universe[i] for i in combo)
+        res = solve_support_system(mons, degree)
+        if res.feasible:
+            witnesses.append(_witness_from_result(mons, degree, res))
     return witnesses, examined, pruned, True
-
-
-def _balanced_partition(n_universe: int, terms: int, shards: int) -> list[list[int]]:
-    """Split first indices into shards with roughly equal combination counts."""
-    weights = [(math.comb(n_universe - 1 - i, terms - 1), i)
-               for i in range(n_universe)]
-    buckets: list[list[int]] = [[] for _ in range(shards)]
-    loads = [0] * shards
-    for w, i in sorted(weights, reverse=True):
-        k = loads.index(min(loads))
-        buckets[k].append(i)
-        loads[k] += w
-    for bucket in buckets:
-        bucket.sort()
-    return [b for b in buckets if b]
 
 
 def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None,
@@ -239,8 +222,10 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     """All feasible size-``terms`` supports at the given degree, up to swap.
 
     Returns one witness per canonical support, a flag saying whether the
-    enumeration ran to completion, and counters.  With ``shards`` > 1 the
-    first-index ranges are processed in parallel and merged in canonical
+    enumeration ran to completion, and counters.  The unit of work is one
+    first universe index: the supports whose smallest index it is.  With
+    ``shards`` > 1 each free worker takes the next first index; the results
+    go through the same merge as a serial run and are sorted into canonical
     order, so the output does not depend on the number of shards.
     """
     if terms < 2:
@@ -256,25 +241,22 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     witnesses: list[SharpWitness] = []
     exhaustive = True
     if terms <= len(universe):
-        all_first = list(range(len(universe)))
+        tasks = [(degree, terms, first, deadline) for first in range(len(universe))]
         # output does not depend on the shard count, so more workers than
         # first indices or cores would only cost memory and process slots
         shards = min(shards, len(universe), os.cpu_count() or 1)
         if shards <= 1:
-            witnesses, stats.examined, stats.pruned, exhaustive = _search_block(
-                degree, terms, all_first, deadline)
+            results = starmap(_search_block, tasks)
         else:
             import multiprocessing
 
-            parts = _balanced_partition(len(universe), terms, shards)
-            with multiprocessing.get_context("fork").Pool(len(parts)) as pool:
-                results = pool.starmap(_search_block,
-                                       [(degree, terms, p, deadline) for p in parts])
-            for wits, examined, pruned, complete in results:
-                witnesses.extend(wits)
-                stats.examined += examined
-                stats.pruned += pruned
-                exhaustive = exhaustive and complete
+            with multiprocessing.get_context("fork").Pool(shards) as pool:
+                results = pool.starmap(_search_block, tasks, chunksize=1)
+        for wits, examined, pruned, complete in results:
+            witnesses.extend(wits)
+            stats.examined += examined
+            stats.pruned += pruned
+            exhaustive = exhaustive and complete
     witnesses.sort(key=lambda w: w.support.monomials)
     stats.elapsed_seconds = time.monotonic() - start
     return witnesses, exhaustive, stats
@@ -289,26 +271,25 @@ class MinimalTermsResult:
 
 
 def minimal_terms(degree: int, budget_seconds: float | None = None,
-                  shards: int = 1) -> MinimalTermsResult:
+                  shards: int = 1) -> MinimalTermsResult | None:
     """Smallest achievable term count at the given degree, with witnesses.
 
     Starts at the proven lower bound ceil((d+3)/2) and increases until a
-    feasible support exists; (x+y)^d guarantees termination by d+1.
+    feasible support exists; (x+y)^d guarantees termination by d+1.  Returns
+    None when the budget runs out first.  ``enumerate_sharp`` validates
+    ``shards`` before any work and checks the deadline before each first
+    index and every solve.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
-    if shards < 1:  # checked before the budget, which can run out first
-        raise ValueError(f"shards must be at least 1, got {shards}")
     deadline = (time.monotonic() + budget_seconds
                 if budget_seconds is not None else None)
     n = (degree + 4) // 2  # == ceil((degree + 3) / 2)
     while n <= degree + 1:
         remaining = None if deadline is None else deadline - time.monotonic()
-        if remaining is not None and remaining <= 0:
-            raise BudgetExceededError(f"budget exhausted before finishing N={n}")
         witnesses, exhaustive, stats = enumerate_sharp(degree, n, remaining, shards)
         if not exhaustive:
-            raise BudgetExceededError(f"budget exhausted during N={n}")
+            return None
         if witnesses:
             cert = SharpCertificate(degree, n,
                                     tuple(w.polynomial for w in witnesses),
@@ -355,9 +336,8 @@ def uniqueness_status(degree: int, budget_seconds: float | None = None,
     swap-inequivalent ones, or a positive-dimensional family; ``unknown``:
     the budget ran out before the search was exhaustive.
     """
-    try:
-        result = minimal_terms(degree, budget_seconds, shards)
-    except BudgetExceededError:
+    result = minimal_terms(degree, budget_seconds, shards)
+    if result is None:
         return UniquenessResult(degree, UNKNOWN, None, 0, (), None)
     polys: list[Polynomial] = []
     for witness in result.witnesses:

@@ -68,6 +68,15 @@ PINNED_REPORTS = {
         "04692b8796f875f1e2bedda867c7e44dfe1bb9722ecdf368337e96bb0320f67d",
     ("family", "f", "--degree", "1351"):
         "110eeb1e932191828775fc140102c7e1ffbf87e6f6c950cd2e9ccde2b75b8e65",
+    # without --r the report still echoes "r": 1
+    ("signature", "--recipe", "two_minus_s"):
+        "f178c5e831287e80316d599ab5a57f5814974a51a30e302d32f879b96e91a97d",
+    ("signature", "--recipe", "f_odd"):
+        "acb0e78c6fb8d903b65b7bfe07defb124629f5e7da2de3f4345322578e7dd703",
+    ("signature", "--recipe", "f_odd", "--r", "3"):
+        "5e7140f09e240ba97a4c3761d4fd0cedf652e6a26d7b540ce0ce539008386d66",
+    ("pell", "--lambda", "12", "--count", "5"):
+        "584f084a2089a15156b00ce60e675fa1193631300274fdc197acf7d361952ae6",
 }
 
 
@@ -97,6 +106,9 @@ class TestPell:
         (("--general-d", "0", "--general-n", "1"), "--general-d (D)"),
         (("--general-d", "8", "--general-n", "-7", "--b-bound", "0"), "--b-bound"),
         (("--general-d", "8", "--general-n", "0"), "--general-n (N)"),
+        (("--lambda", "4"), "--lambda"),
+        (("--lambda", "1"), "--lambda"),
+        (("--lambda", "-3", "--count", "2"), "--lambda"),
     ])
     def test_general_usage_error_names_the_option(self, capsys, argv, option):
         code = cli.main(["pell", *argv])
@@ -195,6 +207,17 @@ class TestGapsAndSignature:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "--n" in lines[0]
+
+    @pytest.mark.parametrize("recipe", ["two_minus_s", "two_s_minus_one",
+                                        "one_plus_x_times", "one_minus_x_times",
+                                        "append_negative"])
+    def test_recipe_without_r_rejects_r(self, capsys, recipe):
+        code = cli.main(["signature", "--recipe", recipe, "--r", "7"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--r" in lines[0]
 
 
 MALFORMED_FILES = {

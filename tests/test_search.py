@@ -39,6 +39,34 @@ from sharpmap.search import (
 from .oracles import enumerate_naive, max_min_by_vertices
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run ``enumerate_sharp``'s worker pool in this process, task by task.
+
+    Returns the list of pool sizes requested, one entry per pool.
+    """
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args, chunksize=None):
+            return [fn(*a) for a in args]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
+    return sizes
+
+
 def support_of(p):
     return tuple(sorted(p.terms.keys(), key=lambda m: (m[0] + m[1], m)))
 
@@ -263,26 +291,7 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="shards"):
             uniqueness_status(3, budget_seconds=0, shards=shards)
 
-    def test_shard_count_is_clamped(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, args):
-                return [fn(*a) for a in args]
-
-        class SerialContext:
-            Pool = SerialPool
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext)
+    def test_shard_count_is_clamped(self, serial_pool, monkeypatch):
         serial, _, _ = enumerate_sharp(4, 4)
         # d = 4 has 15 universe monomials: the core count binds
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -293,8 +302,23 @@ class TestEnumerate:
         # an unknown core count runs serially
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         enumerate_sharp(4, 4, shards=10_000)
-        assert sizes == [3, 3]
+        assert serial_pool == [3, 3]
         assert [w.polynomial for w in clamped] == [w.polynomial for w in serial]
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_counters_do_not_depend_on_shard_count(self, serial_pool, monkeypatch,
+                                                   degree):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        terms = (degree + 4) // 2  # the sharp size ceil((d + 3) / 2)
+        runs = [enumerate_sharp(degree, terms, shards=k) for k in (1, 2, 3)]
+        assert serial_pool == [2, 3]
+        (witnesses, exhaustive, stats), *others = runs
+        assert exhaustive and witnesses
+        for other_witnesses, other_exhaustive, other_stats in others:
+            assert other_exhaustive
+            assert other_witnesses == witnesses
+            assert (other_stats.examined, other_stats.pruned) == \
+                (stats.examined, stats.pruned)
 
 
 class TestPruningRules:
@@ -392,7 +416,22 @@ class TestUniqueness:
         assert not exhaustive
         assert time.monotonic() - start < 10
 
+    def test_budget_holds_on_the_pool_path(self, monkeypatch):
+        # the shard count is clamped to the core count; keep two workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        start = time.monotonic()
+        _, exhaustive, _ = enumerate_sharp(4, 10, budget_seconds=0.5, shards=2)
+        assert not exhaustive
+        assert time.monotonic() - start < 10
+
+    def test_budget_exhaustion_returns_none(self):
+        assert minimal_terms(9, budget_seconds=0.05) is None
+
     def test_budget_exhaustion_partial_enumeration(self):
+        start = time.monotonic()
         witnesses, exhaustive, stats = enumerate_sharp(9, 6, budget_seconds=0.05)
         assert not exhaustive
         assert stats.examined + stats.pruned > 0
+        # a first index taken after the deadline does no work; enumerating
+        # the pruned candidates of every later index takes seconds at d = 9
+        assert time.monotonic() - start < 3
