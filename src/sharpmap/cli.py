@@ -30,6 +30,7 @@ from .polynomial import (
     equivalent,
     is_map_polynomial,
     is_one_on_hyperplane,
+    min_term_count,
     signature,
     to_monomial_map,
 )
@@ -88,7 +89,7 @@ def _cmd_family(args) -> int:
         if args.degree % 2:
             report.check("all coefficients positive (map polynomial)",
                          is_map_polynomial(p))
-            expected = (args.degree + 3) // 2
+            expected = min_term_count(args.degree)
             report.check(f"term count is (d+3)/2 = {expected}",
                          p.term_count() == expected)
         return report.emit()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomial import Polynomial, assert_term_bound, equivalent, is_map_polynomial
+from .polynomial import Polynomial, equivalent, is_map_polynomial
 
 
 def _waring_coefficient(d: int, s: int) -> int:
@@ -90,7 +90,6 @@ def even_u(j: int, l: int, pick_x: bool = True) -> Polynomial:
     if not (u.degree() == 2 * (j + l + 1) and u.term_count() == expected_terms
             and is_map_polynomial(u)):
         raise AssertionError(f"even-degree construction failed at j={j}, l={l}")
-    assert_term_bound(u)
     return u
 
 

@@ -454,8 +454,18 @@ def to_monomial_map(p: Polynomial) -> MonomialMap:
     return MonomialMap(p.nvars, p.canonical_terms())
 
 
+def min_term_count(degree: int) -> int:
+    """ceil((d+3)/2), the least N with d <= 2N - 3.
+
+    The sharp two-variable bound (D'Angelo, Kos and Riehl): a map polynomial
+    of degree d >= 1 has at least this many terms, and f(d) for odd d and
+    ``even_u`` for even d attain it.
+    """
+    return (degree + 4) // 2
+
+
 def assert_term_bound(p: Polynomial) -> None:
-    """Sharp two-variable degree bound: d <= 2N - 3, i.e. N >= (d+3)/2.
+    """Sharp two-variable degree bound: at least ``min_term_count(d)`` terms.
 
     Checked as a global postcondition on every generated two-variable map
     polynomial of positive degree; the caller is responsible for having
@@ -463,7 +473,7 @@ def assert_term_bound(p: Polynomial) -> None:
     """
     if p.nvars == 2 and p.degree() >= 1:
         n, d = p.term_count(), p.degree()
-        if 2 * n - 3 < d:
+        if n < min_term_count(d):
             raise AssertionError(f"term bound violated: degree {d} with {n} terms")
 
 

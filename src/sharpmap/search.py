@@ -1,5 +1,10 @@
 """Exhaustive, certificate-producing search for minimal-term map polynomials.
 
+The minimal term count at degree d is the sharp bound
+``polynomial.min_term_count(d)`` = ceil((d+3)/2), which families attain in
+every degree; a certificate is therefore one enumeration of the supports of
+exactly that size, and the uniqueness trichotomy is read from its witnesses.
+
 For a candidate support S = {(a_i, b_i)} of two-variable monomials, a map
 polynomial with that support exists iff the linear system
 
@@ -46,7 +51,8 @@ from fractions import Fraction
 from itertools import combinations, starmap
 
 from .linprog import max_min_component
-from .polynomial import Polynomial, assert_term_bound, is_map_polynomial, line_columns
+from .polynomial import (Polynomial, assert_term_bound, is_map_polynomial, line_columns,
+                         min_term_count)
 
 Monomial = tuple[int, int]
 
@@ -135,20 +141,23 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SharpCertificate:
-    """Result of an exhaustive minimal-term search at one degree."""
+    """Result of the exhaustive search at the sharp term count of one degree."""
 
     degree: int
     min_terms: int
-    representatives: tuple[Polynomial, ...]
-    exhaustive: bool
+    witnesses: tuple[SharpWitness, ...]
     stats: SearchStats
+
+    @property
+    def representatives(self) -> tuple[Polynomial, ...]:
+        return tuple(w.polynomial for w in self.witnesses)
 
     def to_json_dict(self) -> dict:
         return {
             "degree": self.degree,
             "min_terms": self.min_terms,
             "representatives": [p.to_json_dict() for p in self.representatives],
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,
             "search_stats": self.stats.to_json_dict(),
         }
 
@@ -228,10 +237,10 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     go through the same merge as a serial run and are sorted into canonical
     order, so the output does not depend on the number of shards.
     """
+    if degree < 1:
+        raise ValueError(f"degree must be positive, got {degree}")
     if terms < 2:
         raise ValueError("a map polynomial of positive degree needs at least 2 terms")
-    if degree < 1:
-        raise ValueError("degree must be positive")
     if shards < 1:
         raise ValueError(f"shards must be at least 1, got {shards}")
     start = time.monotonic()
@@ -262,41 +271,24 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     return witnesses, exhaustive, stats
 
 
-@dataclass(frozen=True)
-class MinimalTermsResult:
-    degree: int
-    min_terms: int
-    certificate: SharpCertificate
-    witnesses: tuple[SharpWitness, ...]
-
-
 def minimal_terms(degree: int, budget_seconds: float | None = None,
-                  shards: int = 1) -> MinimalTermsResult | None:
-    """Smallest achievable term count at the given degree, with witnesses.
+                  shards: int = 1) -> SharpCertificate | None:
+    """The certificate of the sharp term count at the given degree.
 
-    Starts at the proven lower bound ceil((d+3)/2) and increases until a
-    feasible support exists; (x+y)^d guarantees termination by d+1.  Returns
-    None when the budget runs out first.  ``enumerate_sharp`` validates
-    ``shards`` before any work and checks the deadline before each first
-    index and every solve.
+    A degree-d map polynomial has at least ``min_term_count(d)`` =
+    ceil((d+3)/2) terms (D'Angelo, Kos and Riehl: d <= 2N - 3), and f(d) for
+    odd d and ``even_u`` for even d attain that count; so one enumeration at
+    that size finds every minimal-term polynomial.  Returns None when the
+    budget runs out first, and raises AssertionError if the enumeration is
+    exhaustive and finds no witness, as the theorem then fails.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    deadline = (time.monotonic() + budget_seconds
-                if budget_seconds is not None else None)
-    n = (degree + 4) // 2  # == ceil((degree + 3) / 2)
-    while n <= degree + 1:
-        remaining = None if deadline is None else deadline - time.monotonic()
-        witnesses, exhaustive, stats = enumerate_sharp(degree, n, remaining, shards)
-        if not exhaustive:
-            return None
-        if witnesses:
-            cert = SharpCertificate(degree, n,
-                                    tuple(w.polynomial for w in witnesses),
-                                    True, stats)
-            return MinimalTermsResult(degree, n, cert, tuple(witnesses))
-        n += 1
-    raise AssertionError(f"no feasible support found up to N={degree + 1}")
+    n = min_term_count(degree)
+    witnesses, exhaustive, stats = enumerate_sharp(degree, n, budget_seconds, shards)
+    if not exhaustive:
+        return None
+    if not witnesses:
+        raise AssertionError(f"no map polynomial of degree {degree} with N={n} terms")
+    return SharpCertificate(degree, n, tuple(witnesses), stats)
 
 
 UNIQUE = "unique"
@@ -336,22 +328,21 @@ def uniqueness_status(degree: int, budget_seconds: float | None = None,
     swap-inequivalent ones, or a positive-dimensional family; ``unknown``:
     the budget ran out before the search was exhaustive.
     """
-    result = minimal_terms(degree, budget_seconds, shards)
-    if result is None:
+    cert = minimal_terms(degree, budget_seconds, shards)
+    if cert is None:
         return UniquenessResult(degree, UNKNOWN, None, 0, (), None)
     polys: list[Polynomial] = []
-    for witness in result.witnesses:
+    for witness in cert.witnesses:
         polys.append(witness.polynomial)
         mirrored = witness.polynomial.swap_xy()
         if mirrored != witness.polynomial:
             polys.append(mirrored)
-    classes = len(result.witnesses)
-    has_continuum = any(w.freedom > 0 for w in result.witnesses)
+    classes = len(cert.witnesses)
+    has_continuum = any(w.freedom > 0 for w in cert.witnesses)
     if has_continuum or classes >= 2:
         status = FAILS
     elif len(polys) == 1:
         status = UNIQUE
     else:
         status = UNIQUE_UP_TO_EQUIVALENCE
-    return UniquenessResult(degree, status, result.min_terms, classes,
-                            tuple(polys), result.certificate)
+    return UniquenessResult(degree, status, cert.min_terms, classes, tuple(polys), cert)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +58,8 @@ class TestConstruct:
         assert code == cli.EXIT_USAGE
 
 
-# SHA-256 of each report's stdout without its "timing_seconds" line.
+# SHA-256 of each report's stdout without its "timing_seconds" line and with
+# the value of "elapsed_seconds" blanked.
 PINNED_REPORTS = {
     ("construct", "q", "--degree", "97"):
         "062babc40b886443b7e7d65c1d611e3f90d7438e2377bcf934897532ef722d0d",
@@ -77,6 +82,11 @@ PINNED_REPORTS = {
         "5e7140f09e240ba97a4c3761d4fd0cedf652e6a26d7b540ce0ce539008386d66",
     ("pell", "--lambda", "12", "--count", "5"):
         "584f084a2089a15156b00ce60e675fa1193631300274fdc197acf7d361952ae6",
+    ("search", "--degree", "5"):
+        "ef7a7b27e02269db883b4566840ca67cdce09ce9e5bd4f2ba7928b75cff57045",
+    # polytope witnesses: freedoms of 1 among the points
+    ("search", "--degree", "4", "--terms", "5"):
+        "005452a9f3e56cd6dce454ac1f5ac66728737227a12469b93bda7eca788be267",
 }
 
 
@@ -84,6 +94,7 @@ PINNED_REPORTS = {
 def test_report_bytes_are_pinned(capsys, argv):
     assert cli.main(list(argv)) == cli.EXIT_OK
     out = re.sub(r',\n  "timing_seconds": [^\n]*', "", capsys.readouterr().out, count=1)
+    out = re.sub(r'("elapsed_seconds": )[^\n]*', r"\1", out)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
 
 
@@ -152,6 +163,16 @@ class TestSearch:
         monkeypatch.setenv("SHARPMAP_BUDGET_SECONDS", "0.05")
         code, report = run(capsys, "search", "--degree", "9")
         assert code == cli.EXIT_BUDGET
+
+    @pytest.mark.parametrize("argv", [("--degree", "0"), ("--degree", "-1"),
+                                      ("--degree", "-3", "--terms", "1")])
+    def test_nonpositive_degree_is_usage_error(self, capsys, argv):
+        code = cli.main(["search", *argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [f"error: degree must be positive, got {argv[1]}"]
 
     @pytest.mark.parametrize("extra", [(), ("--terms", "3"), ("--budget-seconds", "0")])
     @pytest.mark.parametrize("shards", ["0", "-2"])
@@ -321,3 +342,25 @@ class TestReportContract:
                      ["gaps", "witness", "--n", "2", "--N", "3"]):
             _, report = run(capsys, *argv)
             assert report["assertions"]
+
+
+class TestEntryPoint:
+    """``python -m sharpmap`` as a process: the exit code is the contract."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("family", "f", "--degree", "3"), cli.EXIT_OK),
+        (("search", "--degree", "7"), cli.EXIT_ASSERTION),
+        (("search", "--degree", "0"), cli.EXIT_USAGE),
+        (("search", "--degree", "9", "--budget-seconds", "0.05"), cli.EXIT_BUDGET),
+    ])
+    def test_exit_code(self, argv, expected):
+        env = {k: v for k, v in os.environ.items() if k != "SHARPMAP_BUDGET_SECONDS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "sharpmap", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, proc.stderr
+        if expected == cli.EXIT_USAGE:
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+        else:
+            assert json.loads(proc.stdout)["assertions"]

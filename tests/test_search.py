@@ -27,11 +27,14 @@ from sharpmap import (
     q,
     uniqueness_status,
 )
+from sharpmap import search
+from sharpmap.polynomial import min_term_count
 from sharpmap.search import (
     FAILS,
     UNIQUE,
     UNIQUE_UP_TO_EQUIVALENCE,
     UNKNOWN,
+    SearchStats,
     monomial_universe,
     solve_support_system,
 )
@@ -309,7 +312,7 @@ class TestEnumerate:
     def test_counters_do_not_depend_on_shard_count(self, serial_pool, monkeypatch,
                                                    degree):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        terms = (degree + 4) // 2  # the sharp size ceil((d + 3) / 2)
+        terms = min_term_count(degree)
         runs = [enumerate_sharp(degree, terms, shards=k) for k in (1, 2, 3)]
         assert serial_pool == [2, 3]
         (witnesses, exhaustive, stats), *others = runs
@@ -367,6 +370,14 @@ class TestMinimalTerms:
 
     def test_degree7(self):
         assert minimal_terms(7).min_terms == 5
+
+    def test_no_witness_at_the_sharp_size_fails_the_theorem(self, monkeypatch):
+        # an exhaustive enumeration at ceil((d+3)/2) terms must find f(d) or
+        # even_u; an empty one contradicts the bound's sharpness
+        monkeypatch.setattr(search, "enumerate_sharp",
+                            lambda *args: ([], True, SearchStats()))
+        with pytest.raises(AssertionError, match="degree 5 with N=4"):
+            minimal_terms(5)
 
 
 class TestUniqueness:
