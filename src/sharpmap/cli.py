@@ -17,6 +17,7 @@ default search budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -285,7 +286,13 @@ def _cmd_map(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one ``sharpmap`` parser of this process, built at its first call.
+
+    ``parse_args`` leaves the parser unchanged, so every ``main`` call shares
+    it; building it at import time would cost every import of this module.
+    """
     parser = argparse.ArgumentParser(
         prog="sharpmap",
         description="Exact constructions and searches for proper monomial "

@@ -16,9 +16,10 @@ The central predicates:
     ||f(z)||^2 = p(|z_1|^2, ..., |z_n|^2), so ||f(z)||^2 = 1 on the sphere.
 
 Both rest on ``restrict_to_hyperplane``, the one substitution
-x_n = 1 - x_1 - ... - x_{n-1} for every arity.  The search reads its linear
-systems from ``line_columns(d)``, the restrictions of every x^a y^b with
-a + b <= d, which that same routine builds once per degree.
+x_n = 1 - x_1 - ... - x_{n-1} for every arity, run by Horner's rule in x_n.
+The search reads its linear systems from ``line_columns(d)``, the
+restrictions of every x^a y^b with a + b <= d, which that same routine
+builds once per degree.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -346,27 +347,21 @@ class MonomialMap:
 # -- hyperplane restriction ---------------------------------------------------
 
 
-def alternating_row(e: int) -> list[int]:
-    """The coefficients (-1)^j C(e, j), j = 0..e, of (1 - x)^e.
+def _times_one_minus_sum(rows: dict[Exponents, list[int]]) -> dict[Exponents, list[int]]:
+    """R * (1 - x_1 - ... - x_m) for R held dense in x_m (m >= 1).
 
-    This is the one place the alternating binomial expansion is written out.
+    ``rows`` maps the exponents of x_1..x_{m-1} to the integer coefficients
+    of R in x_m.  Multiplying by 1 - x_m is the list difference L - shift(L);
+    each -x_j with j < m subtracts L at the key with x_j raised by one.
     """
-    row = [1] * (e + 1)
-    for j in range(e):
-        row[j + 1] = -row[j] * (e - j) // (j + 1)
-    return row
-
-
-def _one_minus_sum_power(m: int, e: int) -> list[tuple[Exponents, int]]:
-    """Terms of (1 - x_1 - ... - x_m)^e as (exponent, integer coefficient) pairs.
-
-    With s = x_1 + ... + x_{m-1}: (1 - s - x_m)^e = sum_j row_e[j] x_m^j (1 - s)^(e-j).
-    """
-    if m == 0:
-        return [((), 1)]
-    return [(k + (j,), r * c)
-            for j, r in enumerate(alternating_row(e))
-            for k, c in _one_minus_sum_power(m - 1, e - j)]
+    out = {k: list(map(operator.sub, row + [0], [0] + row)) for k, row in rows.items()}
+    for k, row in rows.items():
+        for j in range(len(k)):
+            target = out.setdefault(k[:j] + (k[j] + 1,) + k[j + 1:], [])
+            if len(target) < len(row):
+                target.extend(repeat(0, len(row) - len(target)))
+            target[:len(row)] = map(operator.sub, target, row)
+    return out
 
 
 def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
@@ -376,6 +371,13 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
     for n = 1 the result is a constant (a 0-variable polynomial).  The sums
     are kept in integers over the common denominator of the coefficients,
     and zero terms are dropped once, at the end.
+
+    By Horner's rule in the substituted variable: with m = n - 1,
+    s = x_1 + ... + x_m and p = sum_e x_n^e P_e(x_1, ..., x_m), the result is
+    R_0, where R_E = P_E for the top exponent E of x_n and
+    R_e = R_{e+1} (1 - s) + P_e.  R is held dense in x_m.  The cost is E
+    times the size of R, so a polynomial with a few terms of very high degree
+    in x_n (say x^N + y^N) pays for every exponent of x_n below its top one.
 
     The restriction is computed once per value: it is kept on ``p``, which is
     immutable, and later calls (from ``is_one_on_hyperplane``,
@@ -388,14 +390,24 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
         raise ValueError("restriction needs at least one variable")
     m = n - 1
     den = math.lcm(*(c.denominator for c in p._terms.values()))
-    out: dict[Exponents, int] = {}
+    slices: dict[int, list[tuple[Exponents, int]]] = {}
     for exp, c in p._terms.items():
-        scaled = c.numerator * (den // c.denominator)
-        head = exp[:m]
-        for k, v in _one_minus_sum_power(m, exp[m]):
-            key = tuple(map(operator.add, head, k))
-            out[key] = out.get(key, 0) + scaled * v
-    p._restricted = Polynomial._raw(m, {k: Fraction(v, den) for k, v in out.items() if v})
+        slices.setdefault(exp[m], []).append((exp[:m], c.numerator * (den // c.denominator)))
+    if m == 0:  # one variable: x_1 = 1
+        total = sum(v for terms in slices.values() for _, v in terms)
+        p._restricted = Polynomial._raw(0, {(): Fraction(total, den)} if total else {})
+        return p._restricted
+    rows: dict[Exponents, list[int]] = {}
+    for e in range(max(slices, default=0), -1, -1):
+        rows = _times_one_minus_sum(rows)
+        for head, v in slices.get(e, ()):
+            row = rows.setdefault(head[:-1], [])
+            if len(row) <= head[-1]:
+                row.extend(repeat(0, head[-1] + 1 - len(row)))
+            row[head[-1]] += v
+    p._restricted = Polynomial._raw(m, {k + (i,): Fraction(v, den)
+                                        for k, row in rows.items()
+                                        for i, v in enumerate(row) if v})
     return p._restricted
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -94,6 +95,44 @@ def sympy_restriction(p: Polynomial):
     """Substitute the last variable -> 1 - (sum of the others) symbolically and expand."""
     xs = _variables(p.nvars)
     return sympy.expand(to_sympy(p).subs(xs[-1], 1 - sum(xs[:-1])))
+
+
+def binomial_row(e: int) -> list[int]:
+    """The coefficients (-1)^j C(e, j), j = 0..e, of (1 - x)^e."""
+    row = [1] * (e + 1)
+    for j in range(e):
+        row[j + 1] = -row[j] * (e - j) // (j + 1)
+    return row
+
+
+def one_minus_sum_power(m: int, e: int) -> list[tuple[tuple[int, ...], int]]:
+    """Terms of (1 - x_1 - ... - x_m)^e as (exponent, integer coefficient) pairs.
+
+    With s = x_1 + ... + x_{m-1}: (1 - s - x_m)^e = sum_j row_e[j] x_m^j (1 - s)^(e-j).
+    """
+    if m == 0:
+        return [((), 1)]
+    return [(k + (j,), r * c)
+            for j, r in enumerate(binomial_row(e))
+            for k, c in one_minus_sum_power(m - 1, e - j)]
+
+
+def restrict_by_terms(p: Polynomial) -> Polynomial:
+    """p(x_1, ..., x_{n-1}, 1 - sum x_j) by expanding (1 - s)^e for each term.
+
+    Each term x^head x_n^e becomes x^head (1 - x_1 - ... - x_{n-1})^e, summed
+    in integers over the common denominator of the coefficients.
+    """
+    m = p.nvars - 1
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    out: dict[tuple[int, ...], int] = {}
+    for exp, c in p.terms.items():
+        scaled = c.numerator * (den // c.denominator)
+        head = exp[:m]
+        for k, v in one_minus_sum_power(m, exp[m]):
+            key = tuple(map(operator.add, head, k))
+            out[key] = out.get(key, 0) + scaled * v
+    return Polynomial(m, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def sympy_h_term_count(m: int) -> int:

@@ -87,15 +87,32 @@ PINNED_REPORTS = {
     # polytope witnesses: freedoms of 1 among the points
     ("search", "--degree", "4", "--terms", "5"):
         "005452a9f3e56cd6dce454ac1f5ac66728737227a12469b93bda7eca788be267",
+    ("construct", "q", "--degree", "1351"):
+        "e01c00520bae8555042386e98cd445e56a4a12a8e5f8a9510b897d6bc3d72e26",
+    ("gaps", "witness", "--n", "6", "--N", "38"):
+        "dc226f51a036a8a73a77fbd54c7091fc88611ac4d089cf3641a949c6c2d4a360",
+    # f121.json holds f(121); the path is relative, so it is the same in every run
+    ("verify", "--file", "f121.json"):
+        "572fedf42976ec78eb656253bc735ee84ea5bc6478ff9bc63b769f72a8b1f2de",
+    ("map", "--file", "f121.json", "--samples", "1000", "--seed", "1234"):
+        "7b9aa4e79e619a59885d3c639b49a22e909fe41560c8d492c7621d38e6e9f074",
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
-def test_report_bytes_are_pinned(capsys, argv):
-    assert cli.main(list(argv)) == cli.EXIT_OK
-    out = re.sub(r',\n  "timing_seconds": [^\n]*', "", capsys.readouterr().out, count=1)
+def report_digest(out: str) -> str:
+    """SHA-256 of a report with its timing values blanked."""
+    out = re.sub(r',\n  "timing_seconds": [^\n]*', "", out, count=1)
     out = re.sub(r'("elapsed_seconds": )[^\n]*', r"\1", out)
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
+    from sharpmap import f
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f121.json").write_text(json.dumps(f(121).to_json_dict()))
+    assert cli.main(list(argv)) == cli.EXIT_OK
+    assert report_digest(capsys.readouterr().out) == PINNED_REPORTS[argv]
 
 
 class TestPell:
@@ -342,6 +359,28 @@ class TestReportContract:
                      ["gaps", "witness", "--n", "2", "--N", "3"]):
             _, report = run(capsys, *argv)
             assert report["assertions"]
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_survives_errors(self, capsys):
+        assert cli.main(["search", "--degree", "0"]) == cli.EXIT_USAGE
+        for argv in (["search"], ["pell", "--general-d", "8"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == cli.EXIT_USAGE
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and "usage: sharpmap" in helps[0]
+        argv = ("family", "f", "--degree", "8")
+        assert cli.main(list(argv)) == cli.EXIT_OK
+        assert report_digest(capsys.readouterr().out) == PINNED_REPORTS[argv]
 
 
 class TestEntryPoint:

@@ -33,10 +33,14 @@ from sharpmap import (
 )
 from sharpmap.polynomial import line_columns
 
-from .oracles import random_polynomial, sympy_restriction, to_sympy
+from .oracles import random_polynomial, restrict_by_terms, sympy_restriction, to_sympy
 
 X_PLUS_Y = poly2({(1, 0): 1, (0, 1): 1})
 F3 = poly2({(3, 0): 1, (1, 1): 3, (0, 3): 1})
+S3 = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+# (x + y + z - 1) * (...) vanishes on the hyperplane
+CANCELS = (S3 - Polynomial.constant(3, 1)) * Polynomial(
+    3, {(2, 0, 1): Fraction(2, 3), (0, 1, 0): Fraction(-1, 5), (0, 0, 3): 7})
 
 coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -45,6 +49,18 @@ def polynomials(nvars: int):
     """Up to five terms, each exponent at most 4, denominators 1..4."""
     exponents = st.tuples(*[st.integers(0, 4)] * nvars)
     return st.dictionaries(exponents, coefficients, max_size=5).map(
+        lambda terms: Polynomial(nvars, terms))
+
+
+def restriction_inputs(nvars: int):
+    """Up to eight terms; exponents at most 12, those of the last variable at most 40.
+
+    In five and six variables the last exponent stops at 16: the restriction
+    of x_6^40 alone has 1,221,759 terms and takes seconds on either route.
+    """
+    top = 40 if nvars <= 4 else 16
+    exponents = st.tuples(*[st.integers(0, 12)] * (nvars - 1), st.integers(0, top))
+    return st.dictionaries(exponents, coefficients, max_size=8).map(
         lambda terms: Polynomial(nvars, terms))
 
 
@@ -100,17 +116,27 @@ class TestRestriction:
 
     def test_against_sympy(self):
         rng = random.Random(7)
-        s3 = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-        cancels = (s3 - Polynomial.constant(3, 1)) * Polynomial(
-            3, {(2, 0, 1): Fraction(2, 3), (0, 1, 0): Fraction(-1, 5), (0, 0, 3): 7})
         inputs = [random_polynomial(rng, nvars, 4 if nvars <= 2 else 3)
                   for nvars in range(1, 5) for _ in range(25)]
-        inputs += [Polynomial.zero(nvars) for nvars in range(1, 5)] + [cancels]
+        inputs += [Polynomial.zero(nvars) for nvars in range(1, 5)] + [CANCELS]
         for p in inputs:
             ours = restrict_to_hyperplane(p)
             assert ours.nvars == p.nvars - 1
             assert sympy.expand(to_sympy(ours) - sympy_restriction(p)) == 0
-        assert restrict_to_hyperplane(cancels).is_zero()
+        assert restrict_to_hyperplane(CANCELS).is_zero()
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 6).flatmap(restriction_inputs))
+    @example(f(201))
+    @example(q(97))
+    @example(gap_witness(6, 38).poly)
+    @example(Polynomial.zero(3))
+    @example(CANCELS)
+    def test_matches_per_term_expansion(self, p):
+        ours = restrict_to_hyperplane(Polynomial(p.nvars, p.terms))  # no kept restriction
+        expected = restrict_by_terms(p)
+        assert ours.nvars == expected.nvars
+        assert dict(ours.terms) == dict(expected.terms)
 
     def test_line_column_against_sympy(self):
         x = sympy.Symbol("x")
@@ -128,8 +154,7 @@ class TestRestriction:
 
     def test_three_variables(self):
         # x + y + z -> 1 after z := 1 - x - y
-        s3 = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
-        assert restrict_to_hyperplane(s3) == Polynomial.constant(2, 1)
+        assert restrict_to_hyperplane(S3) == Polynomial.constant(2, 1)
 
     @settings(derandomize=True, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(polynomials(n), polynomials(n))),
