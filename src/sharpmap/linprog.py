@@ -1,66 +1,95 @@
-"""Exact linear algebra for the positivity question: elimination and max-min.
+"""Exact linear algebra for the positivity question: column reduction and max-min.
 
 Every entry is an integer or a Fraction and every step is exact, so an
-optimum is a certificate, not an approximation.  ``eliminate`` brings an
-integer system to reduced echelon form, and ``max_min_component`` reads the
-solution set off it and decides strict positivity there by Fourier-Motzkin
-elimination, in a space whose dimension is small: at most 3 in every
-minimal-term search measured so far, and 5 in ``enumerate_sharp(4, 10)``.
+optimum is a certificate, not an approximation.  A system A u = rhs is
+reduced one column of A at a time.  The state after columns c_0..c_{k-1}
+holds an echelon basis of their span (each entry a pivot row, an integer
+vector and the integer combination of columns giving it), one dependency
+sum_i delta_i c_i = 0 for each column that is free (a combination of the
+columns before it), and the residual R = s rhs - sum_i rho_i c_i reduced
+against every pivot.  The system is consistent iff R = 0, and then
+p = rho / s is the particular solution that vanishes on the free columns,
+and delta / delta_j is the direction of free column j.
+
+``max_min_component`` decides strict positivity on that solution set by
+Fourier-Motzkin elimination, in a space whose dimension is small: at most 3
+in every minimal-term search measured so far, and 5 in
+``enumerate_sharp(4, 10)``.  The search asks about supports in
+lexicographic order, so consecutive calls share all but their last columns:
+the state of every column prefix but the full one comes from a small LRU
+memo, and each call reduces only its last column.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def eliminate(columns, rhs):
-    """Integer row reduction of [A | rhs], A having the given columns.
+@dataclass(slots=True)
+class _Reduction:
+    """Column reduction state of the columns seen so far; never mutated once built.
 
-    Returns (pivots, rows), with pivots the (row, column) positions of the
-    echelon form, or None when the system is inconsistent.  A consistent
-    system is reduced further: each pivot column is zero outside its pivot
-    row, so pivot row r with pivot column c reads
-    rows[r][c] u_c + sum over free j of rows[r][j] u_j = rows[r][n].  Row
-    updates use exact cross-multiplication, so all entries stay integers.
+    Every vector is held augmented, m entries in the row space followed by
+    ``width`` combination coefficients, one per column of the system, so
+    one cross-multiplication updates both.  ``pivot_rows[k]`` and
+    ``basis[k]`` are the k-th basis entry [w | a], w = sum_i a_i c_i, zero
+    at every earlier pivot row and nonzero at pivot_rows[k].  ``free[k]`` is
+    a free column j and ``deltas[k]`` its dependency, with deltas[k][j] != 0.
+    ``residual`` is [R | -rho], R = s rhs - sum_i rho_i c_i, with
+    ``scale`` = s.
     """
-    n = len(columns)
-    m = len(rhs)
-    rows = [[col[t] for col in columns] + [rhs[t]] for t in range(m)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        pv = pr[c]
-        for i in range(r + 1, m):
-            v = rows[i][c]
-            if v:
-                ri = rows[i]
-                for k in range(c, n + 1):
-                    ri[k] = ri[k] * pv - pr[k] * v
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if rows[i][n]:
-            return None
-    for r, c in pivots:
-        pr = rows[r]
-        pv = pr[c]
-        for i in range(r):
-            v = rows[i][c]
-            if v:
-                rows[i] = [x * pv - y * v for x, y in zip(rows[i], pr)]
-    return pivots, rows
+
+    pivot_rows: list[int]
+    basis: list[list[int]]
+    free: list[int]
+    deltas: list[list[int]]
+    residual: list[int]
+    scale: int
+
+
+def _extend(state: _Reduction, column, m: int) -> _Reduction:
+    """The state after one more column of m entries, by exact cross-multiplication."""
+    j = len(state.pivot_rows) + len(state.free)
+    vec = list(column) + [0] * (len(state.residual) - m)
+    vec[m + j] = 1
+    for r, b in zip(state.pivot_rows, state.basis):
+        t = vec[r]
+        if t:
+            pv = b[r]
+            vec = [x * pv - y * t for x, y in zip(vec, b)]
+    for r in range(m):
+        if vec[r]:
+            break
+    else:
+        return _Reduction(state.pivot_rows, state.basis, state.free + [j],
+                          state.deltas + [vec[m:]], state.residual, state.scale)
+    residual, scale = state.residual, state.scale
+    t = residual[r]
+    if t:
+        pv = vec[r]
+        residual = [x * pv - y * t for x, y in zip(residual, vec)]
+        scale *= pv
+    return _Reduction(state.pivot_rows + [r], state.basis + [vec], state.free, state.deltas,
+                      residual, scale)
+
+
+@lru_cache(maxsize=16)
+def _prefix_state(prefix: tuple, rhs: tuple, width: int) -> _Reduction:
+    """The reduction state of a column prefix in a system of ``width`` columns.
+
+    ``prefix`` is () or a pair (shorter prefix, last column).  Consecutive
+    calls from ``max_min_component`` share their prefixes, so the memo
+    holds the chain of prefixes of the last few calls.
+    """
+    if not prefix:
+        return _Reduction([], [], [], [], list(rhs) + [0] * width, 1)
+    shorter, column = prefix
+    return _extend(_prefix_state(shorter, rhs, width), column, len(rhs))
 
 
 def max_min_component(columns, rhs):
@@ -73,14 +102,17 @@ def max_min_component(columns, rhs):
     equalities, and capping t at 1 keeps the program bounded without
     affecting the sign of the optimum.
 
-    The reduced echelon form gives u_c = (row[n] - sum_j row[j] s_j) / row[c]
-    at each pivot column c, with s_j = u_j at the free columns j.  A pivot
-    row without free entries pins u_c, so row[n] * row[c] <= 0 rejects in
-    integers.  Otherwise the solutions are u = p + sum_j s_j v_j, one
-    direction v_j per free column, and the program lives in the k = n - rank
-    variables s_j: its rows are t <= p_i + sum_j v_ij s_j and t <= 1.
-    Fourier-Motzkin elimination removes s_{k-1}, ..., s_0 in turn.  Two facts
-    keep it short:
+    The columns are reduced one at a time (see the module docstring); the
+    state of all but the last comes from the prefix memo.  A nonzero
+    residual means no solution.  Otherwise the solutions are
+    u = p + sum_j s_j v_j, with p = rho / s the particular solution that
+    is zero on the free columns, and one direction v_j = delta / delta_j
+    per free column j, which is 1 at j and 0 at the other free columns.
+    A pivot column that no direction touches is pinned at p_c, so
+    rho_c s <= 0 rejects in integers.  Otherwise the program lives in the
+    k = n - rank variables s_j: its rows are t <= p_i + sum_j v_ij s_j and
+    t <= 1.  Fourier-Motzkin elimination removes s_{k-1}, ..., s_0 in turn.
+    Two facts keep it short:
 
     - Every derived row is a positive combination of rows whose t
       coefficient is -1, so every row stays an upper bound on t; t_star is
@@ -97,24 +129,32 @@ def max_min_component(columns, rhs):
     are unchanged.
     """
     n = len(columns)
-    outcome = eliminate(columns, rhs)
-    if outcome is None:
+    m = len(rhs)
+    # nested pairs, not one fresh tuple of n - 1 columns per call: CPython
+    # keeps up to 2,000 freed tuples of each length, about 0.15 MB here
+    prefix = ()
+    for column in columns[:-1]:
+        prefix = (prefix, tuple(column))
+    state = _prefix_state(prefix, tuple(rhs), n)
+    if n:
+        state = _extend(state, columns[-1], m)
+    if any(state.residual[:m]):
         return None, None, 0
-    pivots, rows = outcome
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(n) if c not in pivot_cols]
+    free, deltas, scale = state.free, state.deltas, state.scale
     freedom = len(free)
-    for r, c in pivots:
-        row = rows[r]
-        if row[n] * row[c] <= 0 and not any(row[j] for j in free):
+    rho = [-x for x in state.residual[m:]]
+    free_set = set(free)
+    pivots = [c for c in range(n) if c not in free_set]
+    for c in pivots:
+        if rho[c] * scale <= 0 and not any(d[c] for d in deltas):
             return None, None, freedom
     # a row b stands for t <= b[0] + sum_j b[j + 1] s_j; row i < n is u_i >= t
     solution_rows = [[_ZERO] * (freedom + 1) for _ in range(n)]
     for k, c in enumerate(free):
         solution_rows[c][k + 1] = _ONE
-    for r, c in pivots:
-        row = rows[r]
-        solution_rows[c] = [Fraction(row[n], row[c])] + [Fraction(-row[j], row[c]) for j in free]
+    for c in pivots:
+        solution_rows[c] = [Fraction(rho[c], scale)] + [
+            Fraction(d[c], d[j]) for j, d in zip(free, deltas)]
     bounds = solution_rows + [[_ONE] + [_ZERO] * freedom]
     lowers = []  # per s_j, from s_{k-1} down: the rows bounding s_j below
     for j in reversed(range(freedom)):

@@ -15,12 +15,13 @@ of the x^(a_i) y^(b_i) to x + y = 1, and its right-hand side, that of the
 constant 1, come from ``polynomial.line_columns(d)``, which the same
 hyperplane restriction that checks every polynomial builds once per degree.
 One exact call, ``linprog.max_min_component``, decides it for every rank:
-integer reduced echelon form decides consistency and rank, a coefficient
-that the equations pin is rejected by its integer sign, and over the
-solution set p + span(v_1..v_k) the minimum coefficient t is maximized
-over the k parameters; a strictly positive solution exists iff the optimum
-satisfies t > 0.  A unique solution (k = 0) is a point, any other a
-polytope.  No floating point enters the decision anywhere.
+integer column reduction decides consistency and rank and gives a
+particular solution p and one direction v_j per free column, a
+coefficient that the equations pin is rejected by its integer sign, and
+over the solution set p + span(v_1..v_k) the minimum coefficient t is
+maximized over the k parameters; a strictly positive solution exists iff
+the optimum satisfies t > 0.  A unique solution (k = 0) is a point, any
+other a polytope.  No floating point enters the decision anywhere.
 
 Support enumeration applies four pruning rules, each with a one-line proof:
 
@@ -38,17 +39,32 @@ Support enumeration applies four pruning rules, each with a one-line proof:
         (-1)^(b_i) c_i and must vanish; with all c_i > 0 the top slice
         must contain monomials with both parities of b.  (Subsumes (i).)
 
+Supports are index tuples into the graded-lex universe, generated depth
+first in lexicographic order, so consecutive solves share all but their
+last columns and the column reduction of each prefix is reused.  Each
+level carries the bitmask of the chosen indices, the bitmask of their
+mirrors and the set of rules (ii) and (iv) already met.  A subtree that no
+later index can complete to meet them is skipped whole, and the last index
+is drawn only from those that meet every missing rule.  The swap test is
+one bit test: the mirror is smaller iff the lowest set bit of
+``mask ^ mirror`` lies in ``mirror`` (two sorted index lists of equal
+length first differ at the least element of their symmetric difference).
+A candidate that is not generated is pruned, so the pruned count is the
+number of candidates before the stopping point minus the solved ones.
+
 The tests check the pruned enumeration against a naive one, with no pruning
-and no symmetry reduction, at small degrees.
+and no symmetry reduction, at small degrees, and the walk against a filter
+over every combination.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import starmap
 
 from .linprog import max_min_component
 from .polynomial import (Polynomial, assert_term_bound, is_map_polynomial, line_columns,
@@ -176,54 +192,107 @@ def _witness_from_result(mons: tuple[Monomial, ...], degree: int,
     return SharpWitness(Support(degree, mons), poly, res.freedom)
 
 
+_ALL_RULES = 0b1111  # top slice with even b, with odd b, pure x-power, pure y-power
+
+
+def _rule_bits(mon: Monomial, degree: int) -> int:
+    """The rules among (ii) and (iv) that the monomial (a, b) meets on its own."""
+    a, b = mon
+    top = (1 << (b % 2)) if a + b == degree else 0
+    return top | (b == 0) << 2 | (a == 0) << 3
+
+
+class _Walk:
+    """Bit tables of one degree for the depth-first walk over supports.
+
+    ``universe``: the candidate monomials in graded-lex order;
+    ``rules[i]``: the rules that universe index i meets; ``rules_above[i]``:
+    those that some index above i meets; ``swap_bit[i]``: the bit of the
+    index of the mirrored monomial; ``supplies[missing]``: the indices that
+    meet every rule in ``missing``.
+    """
+
+    def __init__(self, degree: int):
+        self.universe = universe = monomial_universe(degree)
+        index_of = {m: i for i, m in enumerate(universe)}
+        self.n = len(universe)
+        self.rules = [_rule_bits(m, degree) for m in universe]
+        self.swap_bit = [1 << index_of[(b, a)] for a, b in universe]
+        self.rules_above = [0] * self.n
+        for i in reversed(range(self.n - 1)):
+            self.rules_above[i] = self.rules_above[i + 1] | self.rules[i + 1]
+        self.supplies = [sum(1 << i for i, r in enumerate(self.rules) if r & missing == missing)
+                         for missing in range(_ALL_RULES + 1)]
+
+    def supports(self, combo: tuple[int, ...], met: int, mask: int, mirror: int, slots: int):
+        """Yield, in lexicographic order, the canonical supports extending ``combo``.
+
+        ``combo`` is a sorted tuple of universe indices, ``met`` the rules it
+        meets, ``mask`` and ``mirror`` the bitmasks of its indices and of their
+        mirrors; ``slots`` more indices, each above the last, are appended.
+        A yielded support meets (ii) and (iv) and is swap canonical.
+        """
+        j = combo[-1]
+        if slots == 1:
+            allowed = self.supplies[_ALL_RULES & ~met] >> (j + 1) << (j + 1)
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                k = low.bit_length() - 1
+                full = mask | low
+                mirrored = mirror | self.swap_bit[k]
+                diff = full ^ mirrored
+                # the lowest index in just one of the two sorted lists decides
+                if not diff & -diff & mirrored:
+                    yield combo + (k,)
+            return
+        for i in range(j + 1, self.n - slots + 1):
+            now = met | self.rules[i]
+            if _ALL_RULES & ~now & ~self.rules_above[i]:
+                continue  # no index above i meets the missing rule
+            yield from self.supports(combo + (i,), now, mask | 1 << i,
+                                     mirror | self.swap_bit[i], slots - 1)
+
+
+def _lex_rank(combo: tuple[int, ...], n: int) -> int:
+    """How many sorted index tuples with the same first index precede ``combo``.
+
+    The k = len(combo) - 1 later indices come from first+1..n-1.  Putting
+    v, with combo[p] < v < combo[p+1], in place p+1 after combo[:p+1]
+    leaves C(n-1-v, k-1-p) completions, all of them before ``combo``; the
+    sum over v telescopes by the hockey-stick identity.
+    """
+    k = len(combo) - 1
+    return sum(math.comb(n - 1 - prev, k - p) - math.comb(n - cur, k - p)
+               for p, (prev, cur) in enumerate(zip(combo, combo[1:])))
+
+
 def _search_block(degree: int, terms: int, first: int, deadline):
-    """Enumerate the supports whose smallest universe index is ``first``."""
+    """Enumerate the supports whose smallest universe index is ``first``.
+
+    Only the supports that meet (ii) and (iv) and are swap canonical are
+    generated, in lexicographic order; every other candidate is pruned, so
+    ``pruned`` is the number of candidates before the stopping point minus
+    ``examined``.
+    """
     # a task taken after the deadline does no work: enumerating the pruned
     # candidates of one first index alone can take seconds
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
-    universe = monomial_universe(degree)
-    n_universe = len(universe)
-    index_of = {m: i for i, m in enumerate(universe)}
-    top_even = top_odd = pure_x = pure_y = 0
-    for i, (a, b) in enumerate(universe):
-        if a + b == degree:
-            if b % 2 == 0:
-                top_even |= 1 << i
-            else:
-                top_odd |= 1 << i
-        if b == 0:
-            pure_x |= 1 << i
-        if a == 0:
-            pure_y |= 1 << i
-    swap_index = [index_of[(b, a)] for (a, b) in universe]
-    bit = [1 << i for i in range(n_universe)]
-
+    walk = _Walk(degree)
     witnesses: list[SharpWitness] = []
-    examined = pruned = 0
-    mask0 = bit[first]
-    for rest in combinations(range(first + 1, n_universe), terms - 1):
-        mask = mask0
-        for i in rest:
-            mask |= bit[i]
-        if not (mask & top_even and mask & top_odd
-                and mask & pure_x and mask & pure_y):
-            pruned += 1
-            continue
-        combo = (first,) + rest
-        mirrored = sorted(swap_index[i] for i in combo)
-        if mirrored < list(combo):
-            pruned += 1
-            continue
+    examined = 0
+    for combo in walk.supports((first,), walk.rules[first], 1 << first,
+                               walk.swap_bit[first], terms - 1):
         # before every solve: one solve can take seconds at high freedom
         if deadline is not None and time.monotonic() > deadline:
-            return witnesses, examined, pruned, False
+            return witnesses, examined, _lex_rank(combo, walk.n) - examined, False
         examined += 1
-        mons = tuple(universe[i] for i in combo)
+        mons = tuple(walk.universe[i] for i in combo)
         res = solve_support_system(mons, degree)
         if res.feasible:
             witnesses.append(_witness_from_result(mons, degree, res))
-    return witnesses, examined, pruned, True
+    return witnesses, examined, math.comb(walk.n - 1 - first, terms - 1) - examined, True
 
 
 def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None,

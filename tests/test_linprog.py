@@ -1,4 +1,4 @@
-"""The exact max-min routine against a brute-force vertex oracle."""
+"""The exact max-min routine against a brute-force vertex oracle and whole-system elimination."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sharpmap.linprog import max_min_component
 from sharpmap.polynomial import line_columns
 
-from .oracles import max_min_by_vertices
+from .oracles import max_min_by_rows, max_min_by_vertices
 
 
 @st.composite
@@ -38,16 +38,64 @@ def signed_line_systems(draw):
     return columns, list(table[(0, 0)])
 
 
+@st.composite
+def reducible_systems(draw):
+    """Systems with m <= 8 rows and n <= 6 columns, some of them zero or dependent.
+
+    Half of the right-hand sides are positive combinations of the columns,
+    so that many systems are consistent and some have positive solutions.
+    """
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 6))
+    small = st.integers(-2, 2)
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("generic", "zero", "dependent")))
+        if kind == "zero":
+            columns.append([0] * m)
+        elif kind == "dependent" and columns:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            x, y = draw(small), draw(small)
+            columns.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            columns.append(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        rhs = [sum(w * col[r] for w, col in zip(weights, columns)) for r in range(m)]
+    else:
+        rhs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return columns, rhs
+
+
+ORACLE_EXAMPLES = [
+    # sympy 1.14's simplex returns t = 0, u = 0 for this inconsistent system
+    ([[0, 1, -4, 6, -4, 1], [1, -5, 10, -10, 5, -1], [-1, 4, -6, 4, -1, 0],
+      [0, 0, 0, 0, 1, 0]], [1, 0, 0, 0, 0, 0]),
+    # sympy 1.14's simplex returns a point off A u = rhs here
+    ([[1, -2, 1, 0], [0, 0, 1, 0], [0, 0, 1, -1], [1, 0, 0, 0], [0, 1, -2, 1]],
+     [1, 0, 0, 0]),
+    # full rank, and the unique solution (1, 0) has a zero component
+    ([[1, 0], [0, 1]], [1, 0]),
+]
+
+
+def with_examples(test):
+    for system in reversed(ORACLE_EXAMPLES):
+        test = example(system)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(reducible_systems())
+@with_examples
+def test_column_reduction_matches_whole_system_elimination(system):
+    columns, rhs = system
+    assert max_min_component(columns, rhs) == max_min_by_rows(columns, rhs)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.one_of(generic_systems(), signed_line_systems()))
-# sympy 1.14's simplex returns t = 0, u = 0 for this inconsistent system
-@example(([[0, 1, -4, 6, -4, 1], [1, -5, 10, -10, 5, -1], [-1, 4, -6, 4, -1, 0],
-           [0, 0, 0, 0, 1, 0]], [1, 0, 0, 0, 0, 0]))
-# sympy 1.14's simplex returns a point off A u = rhs here
-@example(([[1, -2, 1, 0], [0, 0, 1, 0], [0, 0, 1, -1], [1, 0, 0, 0], [0, 1, -2, 1]],
-          [1, 0, 0, 0]))
-# full rank, and the unique solution (1, 0) has a zero component
-@example(([[1, 0], [0, 1]], [1, 0]))
+@with_examples
 def test_max_min_component_matches_vertex_oracle(system):
     columns, rhs = system
     t_star, u, freedom = max_min_component(columns, rhs)

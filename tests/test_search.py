@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -39,7 +42,7 @@ from sharpmap.search import (
     solve_support_system,
 )
 
-from .oracles import enumerate_naive, max_min_by_vertices
+from .oracles import enumerate_naive, max_min_by_vertices, search_block_by_combinations
 
 
 @pytest.fixture
@@ -222,6 +225,20 @@ def test_solver_outcomes_are_pinned():
         "b7ca228a595405a92d70e9adc6e49c22366b4b775b2a93c5204ff60925d4c9ef"
 
 
+def test_solver_outcomes_do_not_depend_on_the_order():
+    # the supports of the pinned test in a shuffled order: consecutive calls
+    # share few prefixes, so a prefix memo that leaks state shows here
+    supports = [(combo, d) for d in range(1, 5) for size in range(1, 7)
+                for combo in combinations(monomial_universe(d), size)]
+    random.Random(0).shuffle(supports)
+    outcomes = Counter()
+    for combo, d in supports:
+        res = solve_support_system(combo, d)
+        outcomes[res.status, res.freedom] += 1
+    assert outcomes == {("infeasible", 0): 9797, ("point", 0): 129, ("polytope", 1): 719,
+                        ("polytope", 2): 217, ("polytope", 3): 3}
+
+
 class TestEnumerate:
     def test_degree3_unique_class(self):
         witnesses, exhaustive, _ = enumerate_sharp(3, 3)
@@ -322,6 +339,73 @@ class TestEnumerate:
             assert other_witnesses == witnesses
             assert (other_stats.examined, other_stats.pruned) == \
                 (stats.examined, stats.pruned)
+
+
+WALK_CASES = ([(d, min_term_count(d)) for d in range(1, 8)]
+              + [(d, min_term_count(d) + 1) for d in range(1, 6)] + [(4, 10)])
+
+
+class TestWalk:
+    """The depth-first walk against a filter over every combination."""
+
+    @pytest.mark.parametrize("degree, terms", WALK_CASES)
+    def test_matches_combination_filter(self, monkeypatch, degree, terms):
+        # d = 1 at 2 terms leaves the walk one slot; (4, 10) solves
+        # freedom-5 polytopes that take seconds, so there only the order of
+        # the solved supports is compared and every solve is answered
+        # infeasible
+        solved = []
+
+        def recording(mons, d, solve=search.solve_support_system):
+            solved.append(mons)
+            return solve(mons, d) if terms < 10 else search._INFEASIBLE
+
+        monkeypatch.setattr(search, "solve_support_system", recording)
+        for first in range(len(monomial_universe(degree))):
+            got = search._search_block(degree, terms, first, None)
+            walk_order = solved[:]
+            solved.clear()
+            assert got == search_block_by_combinations(degree, terms, first, None)
+            assert walk_order == solved
+            solved.clear()
+
+    @staticmethod
+    def clock_after(monkeypatch, calls):
+        """Patch the search clock so that a deadline of 1 passes after ``calls`` readings."""
+        readings = itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", lambda: 0 if next(readings) < calls else 2)
+
+    @pytest.mark.parametrize("calls", [0, 1, 2, 3, 7, 40, 300])
+    def test_budget_stop_counts_match_the_filter(self, monkeypatch, calls):
+        # the deadline is read at block start and before every solve, so a
+        # stop leaves the candidates after it uncounted in both
+        for first in (0, 3, 9):
+            self.clock_after(monkeypatch, calls)
+            got = search._search_block(6, 5, first, 1)
+            self.clock_after(monkeypatch, calls)
+            want = search_block_by_combinations(6, 5, first, 1)
+            assert got == want
+
+    @pytest.mark.parametrize("calls", [1, 2, 5, 120, 2000])
+    def test_budget_stop_stats_match_the_filter(self, monkeypatch, calls):
+        self.clock_after(monkeypatch, calls)
+        witnesses, exhaustive, stats = enumerate_sharp(6, 5, budget_seconds=1)
+        monkeypatch.setattr(search, "_search_block", search_block_by_combinations)
+        self.clock_after(monkeypatch, calls)
+        want_witnesses, want_exhaustive, want_stats = enumerate_sharp(6, 5, budget_seconds=1)
+        assert not exhaustive
+        assert (witnesses, exhaustive, stats.examined, stats.pruned) == \
+            (want_witnesses, want_exhaustive, want_stats.examined, want_stats.pruned)
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        # cyclic garbage waits for the collector and raises peak memory
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_sharp(6, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPruningRules:
