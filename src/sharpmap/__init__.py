@@ -63,7 +63,6 @@ from .polynomial import (
     equivalent,
     is_map_polynomial,
     is_one_on_hyperplane,
-    poly2,
     restrict_to_hyperplane,
     signature,
     to_monomial_map,
@@ -75,7 +74,6 @@ from .search import (
     Support,
     UniquenessResult,
     enumerate_sharp,
-    minimal_terms,
     uniqueness_status,
 )
 

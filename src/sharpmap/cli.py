@@ -17,6 +17,7 @@ default search budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -75,6 +76,20 @@ def _finite(name: str, value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def _read_polynomial(path: str) -> Polynomial:
+    """The polynomial serialized in the JSON file at ``path``.
+
+    Malformed content raises ValueError, JSON nested too deeply to parse
+    included, so every bad file is a usage error.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests its JSON too deeply to read") from None
+    return Polynomial.from_json_dict(data)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -248,16 +263,13 @@ def _cmd_verify(args) -> int:
     report = Report("verify", {"file": args.file,
                                "expect_degree": args.expect_degree,
                                "expect_terms": args.expect_terms})
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    p = Polynomial.from_json_dict(data)
+    p = _read_polynomial(args.file)
     report.outputs["poly"] = p.to_json_dict()
     report.check("file round-trips to canonical form",
                  p.to_json_dict() == Polynomial.from_json_dict(p.to_json_dict()).to_json_dict())
     report.check("value is 1 on the hyperplane", is_one_on_hyperplane(p))
     report.outputs["is_map_polynomial"] = is_map_polynomial(p)
-    sig = signature(p)
-    report.outputs["signature"] = {"n_plus": sig.n_plus, "n_minus": sig.n_minus}
+    report.outputs["signature"] = signature(p)._asdict()
     if args.expect_degree is not None:
         report.check(f"degree is {args.expect_degree}", p.degree() == args.expect_degree)
     if args.expect_terms is not None:
@@ -270,8 +282,7 @@ def _cmd_map(args) -> int:
     _finite("--tolerance", args.tolerance)
     report = Report("map", {"file": args.file, "samples": args.samples,
                             "seed": args.seed, "tolerance": args.tolerance})
-    with open(args.file, "r", encoding="utf-8") as fh:
-        p = Polynomial.from_json_dict(json.load(fh))
+    p = _read_polynomial(args.file)
     m = to_monomial_map(p)
     report.outputs["map"] = m.to_json_dict()
     residual = check_sphere_numeric(m, args.samples, args.seed)
@@ -372,16 +383,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "pell" and (args.general_d is None) != (args.general_n is None):
-        parser.error("--general-d and --general-n must be given together")
+@contextlib.contextmanager
+def _any_size_int_strings():
+    """Lift CPython's cap on int/str conversion digits, then restore it.
+
+    Reports carry exact decimal strings of any size, such as the Pell
+    solutions; an interpreter without the cap needs nothing done.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def main(argv: list[str] | None = None) -> int:
+    with _any_size_int_strings():
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.subcommand == "pell" and (args.general_d is None) != (args.general_n is None):
+            parser.error("--general-d and --general-n must be given together")
+        try:
+            return args.handler(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

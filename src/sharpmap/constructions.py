@@ -33,6 +33,7 @@ from .polynomial import (
     is_map_polynomial,
     min_term_count,
     restrict_to_hyperplane,
+    terms_to_json,
 )
 
 TermList = tuple[tuple[tuple[int, int], Fraction], ...]
@@ -64,14 +65,10 @@ class ReplacementStep:
             raise AssertionError(f"replacement is not neutral on the line: {self}")
 
     def to_json_dict(self) -> dict:
-        def encode(terms: TermList) -> list[dict]:
-            return [{"exp": list(e), "coeff": f"{c.numerator}/{c.denominator}"}
-                    for e, c in terms]
-
         return {
             "line_identity": self.line_identity,
-            "consumed": encode(self.consumed),
-            "produced": encode(self.produced),
+            "consumed": terms_to_json(self.consumed),
+            "produced": terms_to_json(self.produced),
         }
 
 

@@ -74,18 +74,16 @@ def coefficient_ratio(r: int, s: int) -> Fraction:
     return ratio
 
 
-def even_u(j: int, l: int, pick_x: bool = True) -> Polynomial:
+def even_u(j: int, l: int) -> Polynomial:
     """Even-degree minimal-term example (f_{2j+1} - m) + m * f_{2l+1}.
 
-    ``m`` is the removed top monomial x^(2j+1) (or y^(2j+1) when pick_x is
-    false).  The result has degree 2(j+l+1) and exactly j+l+3 terms.
+    ``m`` is the removed top monomial x^(2j+1).  The result has degree
+    2(j+l+1) and exactly j+l+3 terms.
     """
     if j < 0 or l < 0:
         raise ValueError("j and l must be nonnegative")
-    base = f(2 * j + 1)
-    exp = (2 * j + 1, 0) if pick_x else (0, 2 * j + 1)
-    m = Polynomial(2, {exp: base.coefficient(exp)})
-    u = (base - m) + m * f(2 * l + 1)
+    m = Polynomial(2, {(2 * j + 1, 0): 1})  # the leading term of f_{2j+1}
+    u = (f(2 * j + 1) - m) + m * f(2 * l + 1)
     expected_terms = j + l + 3
     if not (u.degree() == 2 * (j + l + 1) and u.term_count() == expected_terms
             and is_map_polynomial(u)):
@@ -102,7 +100,7 @@ def even_family(k: int) -> list[Polynomial]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    out = [even_u(j, k - 1 - j, pick_x=True) for j in range(k)]
+    out = [even_u(j, k - 1 - j) for j in range(k)]
     for i in range(len(out)):
         for jj in range(i + 1, len(out)):
             if equivalent(out[i], out[jj]):

@@ -200,8 +200,7 @@ class SignatureWitness:
 
     def to_json_dict(self) -> dict:
         return {"recipe": self.recipe,
-                "signature": {"n_plus": self.requested.n_plus,
-                              "n_minus": self.requested.n_minus},
+                "signature": self.requested._asdict(),
                 "poly": self.poly.to_json_dict()}
 
 
@@ -219,8 +218,7 @@ def append_negative(p: Polynomial) -> Polynomial:
     return p + mono * (Polynomial.constant(n, 1) - _s(n))
 
 
-def signature_witness(recipe: str, n: int = 2, r: int = 1,
-                      base: Polynomial | None = None) -> SignatureWitness:
+def signature_witness(recipe: str, n: int = 2, r: int = 1) -> SignatureWitness:
     """Produce a hyperplane-one polynomial with the recipe's advertised signature."""
     if recipe not in SIGNATURE_RECIPES:
         raise ValueError(f"unknown recipe {recipe!r}; choose from {SIGNATURE_RECIPES}")
@@ -248,11 +246,8 @@ def signature_witness(recipe: str, n: int = 2, r: int = 1,
         if r < 1:
             raise ValueError("r must be positive")
         poly, expected = 2 * Polynomial.constant(2, 1) - f(2 * r + 1), Signature(1, r + 2)
-    else:  # append_negative
-        p = base if base is not None else Polynomial.constant(n, 1)
-        before = signature(p)
-        poly, expected = append_negative(p), Signature(before.n_plus + 1,
-                                                       before.n_minus + p.nvars)
+    else:  # append_negative, applied to the constant 1
+        poly, expected = append_negative(one), Signature(2, n)
     if not is_one_on_hyperplane(poly):
         raise AssertionError(f"recipe {recipe}: output is not 1 on the hyperplane")
     actual = signature(poly)

@@ -62,6 +62,23 @@ def _coerce_coeff(value: RationalLike) -> Fraction:
     raise TypeError(f"coefficient must be an int or Fraction, got {type(value).__name__}")
 
 
+def _add_terms(out: dict[Exponents, Fraction],
+               items: Iterable[tuple[Exponents, Fraction]]) -> dict[Exponents, Fraction]:
+    """Add each (exponent, coefficient) into ``out``, dropping the terms that cancel."""
+    for exp, c in items:
+        c += out.get(exp, 0)
+        if c:
+            out[exp] = c
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def terms_to_json(terms: Iterable[tuple[Exponents, Fraction]]) -> list[dict]:
+    """The JSON form of (exponent, coefficient) pairs: exponent lists, "num/den" strings."""
+    return [{"exp": list(exp), "coeff": f"{c.numerator}/{c.denominator}"} for exp, c in terms]
+
+
 def _parse_coeff(raw: object) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise ValueError(f"coefficient {raw!r} must be an int or a string such as \"7/2\"")
@@ -91,25 +108,17 @@ class Polynomial:
         if type(nvars) is not int or nvars < 0:  # bool is an int subclass
             raise ValueError(f"nvars {nvars!r} must be a nonnegative integer")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        stored: dict[Exponents, Fraction] = {}
+        checked = []
         for exp, coeff in items:
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {nvars}")
             if any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"exponent {exp} must consist of nonnegative integers")
-            c = _coerce_coeff(coeff) + stored.get(exp, Fraction(0))
-            if c:
-                stored[exp] = c
-            else:
-                stored.pop(exp, None)
+            checked.append((exp, _coerce_coeff(coeff)))
         self._nvars = nvars
-        self._terms = stored
+        self._terms = _add_terms({}, checked)
         self._restricted = None
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "Polynomial":
@@ -163,27 +172,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_arity(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Polynomial._raw(self._nvars, out)
+        return Polynomial._raw(self._nvars, _add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_arity(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) - c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Polynomial._raw(self._nvars, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self._nvars, {e: -c for e, c in self._terms.items()})
@@ -192,21 +186,14 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c = _coerce_coeff(other)
             if not c:
-                return Polynomial.zero(self._nvars)
+                return Polynomial._raw(self._nvars, {})
             return Polynomial._raw(self._nvars, {e: v * c for e, v in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_arity(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, Fraction(0)) + ca * cb
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return Polynomial._raw(self._nvars, out)
+        products = ((tuple(map(operator.add, ea, eb)), ca * cb)
+                    for ea, ca in self._terms.items() for eb, cb in other._terms.items())
+        return Polynomial._raw(self._nvars, _add_terms({}, products))
 
     __rmul__ = __mul__
 
@@ -267,13 +254,7 @@ class Polynomial:
 
     def to_json_dict(self) -> dict:
         """Canonical JSON form: terms in graded-lex order, coefficients as "num/den"."""
-        return {
-            "nvars": self._nvars,
-            "terms": [
-                {"exp": list(exp), "coeff": f"{c.numerator}/{c.denominator}"}
-                for exp, c in self.canonical_terms()
-            ],
-        }
+        return {"nvars": self._nvars, "terms": terms_to_json(self.canonical_terms())}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Polynomial":
@@ -292,11 +273,6 @@ class Polynomial:
             raise ValueError(f"polynomial JSON lacks the key {exc}") from None
         except TypeError as exc:  # a value of the wrong JSON type
             raise ValueError(f"malformed polynomial JSON: {exc}") from None
-
-
-def poly2(terms: Mapping[tuple[int, int], RationalLike]) -> Polynomial:
-    """Convenience constructor for two-variable polynomials."""
-    return Polynomial(2, terms)
 
 
 class Signature(NamedTuple):

@@ -340,26 +340,6 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     return witnesses, exhaustive, stats
 
 
-def minimal_terms(degree: int, budget_seconds: float | None = None,
-                  shards: int = 1) -> SharpCertificate | None:
-    """The certificate of the sharp term count at the given degree.
-
-    A degree-d map polynomial has at least ``min_term_count(d)`` =
-    ceil((d+3)/2) terms (D'Angelo, Kos and Riehl: d <= 2N - 3), and f(d) for
-    odd d and ``even_u`` for even d attain that count; so one enumeration at
-    that size finds every minimal-term polynomial.  Returns None when the
-    budget runs out first, and raises AssertionError if the enumeration is
-    exhaustive and finds no witness, as the theorem then fails.
-    """
-    n = min_term_count(degree)
-    witnesses, exhaustive, stats = enumerate_sharp(degree, n, budget_seconds, shards)
-    if not exhaustive:
-        return None
-    if not witnesses:
-        raise AssertionError(f"no map polynomial of degree {degree} with N={n} terms")
-    return SharpCertificate(degree, n, tuple(witnesses), stats)
-
-
 UNIQUE = "unique"
 UNIQUE_UP_TO_EQUIVALENCE = "unique_up_to_equivalence"
 FAILS = "fails"
@@ -392,26 +372,36 @@ def uniqueness_status(degree: int, budget_seconds: float | None = None,
                       shards: int = 1) -> UniquenessResult:
     """Decide whether all minimal-term polynomials of a degree coincide.
 
+    A degree-d map polynomial has at least ``min_term_count(d)`` =
+    ceil((d+3)/2) terms (D'Angelo, Kos and Riehl: d <= 2N - 3), and f(d) for
+    odd d and ``even_u`` for even d attain that count; so one enumeration at
+    that size finds every minimal-term polynomial, and its witnesses form
+    the certificate.
+
     ``unique``: exactly one minimal polynomial; ``unique_up_to_equivalence``:
     exactly two, exchanged by the variable swap; ``fails``: at least two
     swap-inequivalent ones, or a positive-dimensional family; ``unknown``:
-    the budget ran out before the search was exhaustive.
+    the budget ran out before the search was exhaustive.  An exhaustive
+    enumeration that finds no witness raises AssertionError, as the theorem
+    then fails.
     """
-    cert = minimal_terms(degree, budget_seconds, shards)
-    if cert is None:
+    n = min_term_count(degree)
+    witnesses, exhaustive, stats = enumerate_sharp(degree, n, budget_seconds, shards)
+    if not exhaustive:
         return UniquenessResult(degree, UNKNOWN, None, 0, (), None)
+    if not witnesses:
+        raise AssertionError(f"no map polynomial of degree {degree} with N={n} terms")
     polys: list[Polynomial] = []
-    for witness in cert.witnesses:
+    for witness in witnesses:
         polys.append(witness.polynomial)
         mirrored = witness.polynomial.swap_xy()
         if mirrored != witness.polynomial:
             polys.append(mirrored)
-    classes = len(cert.witnesses)
-    has_continuum = any(w.freedom > 0 for w in cert.witnesses)
-    if has_continuum or classes >= 2:
+    if len(witnesses) >= 2 or any(w.freedom > 0 for w in witnesses):
         status = FAILS
     elif len(polys) == 1:
         status = UNIQUE
     else:
         status = UNIQUE_UP_TO_EQUIVALENCE
-    return UniquenessResult(degree, status, cert.min_terms, classes, tuple(polys), cert)
+    return UniquenessResult(degree, status, n, len(witnesses), tuple(polys),
+                            SharpCertificate(degree, n, tuple(witnesses), stats))

@@ -13,6 +13,7 @@ import json
 import time
 
 from sharpmap import (
+    Polynomial,
     Signature,
     check_sphere_numeric,
     cli,
@@ -28,9 +29,7 @@ from sharpmap import (
     h_coeff_inequality_holds,
     h_coeff_sum,
     is_map_polynomial,
-    minimal_terms,
     mod6,
-    poly2,
     q,
     ratio4_construct,
     ratio4_sites,
@@ -213,22 +212,22 @@ def test_criterion_08_even_degree():
                 assert not equivalent(members[i], members[j])
         _register(*members)
     # the degree-4 witness pair appears verbatim in the k=2 family
-    pair4 = [poly2({(4, 0): 1, (3, 1): 1, (1, 1): 3, (0, 3): 1}),
-             poly2({(4, 0): 1, (2, 1): 3, (1, 3): 1, (0, 1): 1})]
+    pair4 = [Polynomial(2, {(4, 0): 1, (3, 1): 1, (1, 1): 3, (0, 3): 1}),
+             Polynomial(2, {(4, 0): 1, (2, 1): 3, (1, 3): 1, (0, 1): 1})]
     family2 = even_family(2)
     assert all(any(p == expected for p in family2) for expected in pair4)
     # the degree-2 witness pair appears among the exhaustive minimal witnesses
-    result2 = minimal_terms(2)
+    result2 = uniqueness_status(2)
     assert result2.min_terms == 3
-    pair2 = [poly2({(2, 0): 1, (1, 1): 1, (0, 1): 1}),
-             poly2({(2, 0): 1, (1, 1): 2, (0, 2): 1})]
-    witnesses2 = [w.polynomial for w in result2.witnesses]
+    pair2 = [Polynomial(2, {(2, 0): 1, (1, 1): 1, (0, 1): 1}),
+             Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})]
+    witnesses2 = list(result2.certificate.representatives)
     for expected in pair2:
         assert any(equivalent(w, expected) for w in witnesses2)
-    result4 = minimal_terms(4)
+    result4 = uniqueness_status(4)
     assert result4.min_terms == 4
     _register(*witnesses2)
-    _register(*(w.polynomial for w in result4.witnesses))
+    _register(*result4.certificate.representatives)
     print("\nCRITERION 8 PASS: even families k <= 10 pairwise inequivalent with "
           "k+2 terms; degree-2 and degree-4 witness pairs recovered; "
           "minimal terms 3 at degree 2 and 4 at degree 4")

@@ -96,7 +96,17 @@ PINNED_REPORTS = {
         "572fedf42976ec78eb656253bc735ee84ea5bc6478ff9bc63b769f72a8b1f2de",
     ("map", "--file", "f121.json", "--samples", "1000", "--seed", "1234"):
         "7b9aa4e79e619a59885d3c639b49a22e909fe41560c8d492c7621d38e6e9f074",
+    ("family", "even", "--k", "4"):
+        "ced52ff7047749fbda719dbe40a6cbea9cedb7024e172413c9d602b6f819cade",
+    # append_negative applied to the constant 1 in three variables
+    ("signature", "--recipe", "append_negative", "--n", "3"):
+        "3d9356e5d1c16b5f465822e43dae4181b6206ec359064a006ed0bf3b632c72f1",
+    # uniqueness fails at d = 7: three classes, a conclusive exit 1
+    ("search", "--degree", "7"):
+        "598b317bdd76a4a42b16a148cf6aba3b839b5f0d6de539c73d48ba47be9e3ee8",
 }
+# the exit code of a pinned report other than EXIT_OK
+PINNED_EXIT_CODES = {("search", "--degree", "7"): cli.EXIT_ASSERTION}
 
 
 def report_digest(out: str) -> str:
@@ -111,7 +121,7 @@ def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     from sharpmap import f
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f121.json").write_text(json.dumps(f(121).to_json_dict()))
-    assert cli.main(list(argv)) == cli.EXIT_OK
+    assert cli.main(list(argv)) == PINNED_EXIT_CODES.get(argv, cli.EXIT_OK)
     assert report_digest(capsys.readouterr().out) == PINNED_REPORTS[argv]
 
 
@@ -128,6 +138,18 @@ class TestPell:
         assert code == 0 and passed_all(report)
         assert [s["b"] for s in report["outputs"]["solutions"]] == \
             ["1", "2", "4", "11", "23", "64"]
+
+    def test_decimal_strings_past_the_conversion_cap(self, capsys):
+        # CPython caps int/str conversion at 4,300 digits by default; main
+        # lifts the cap while it runs and puts it back
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = cap()
+        code, report = run(capsys, "pell", "--count", "3800")
+        assert cap() == before
+        assert code == 0 and passed_all(report)
+        ds = [s["d"] for s in report["outputs"]["solutions"]]
+        assert len(ds[-1]) > 4300
+        assert ds[:5] == ["7", "97", "1351", "18817", "262087"]
 
     @pytest.mark.parametrize("argv, option", [
         (("--general-d", "4", "--general-n", "1"), "--general-d (D)"),
@@ -258,7 +280,8 @@ class TestGapsAndSignature:
         assert len(lines) == 1 and lines[0].startswith("error: ") and "--r" in lines[0]
 
 
-MALFORMED_FILES = {
+# the text of each malformed file
+MALFORMED_FILES = {name: json.dumps(data) for name, data in {
     "zero_denominator": {"nvars": 2, "terms": [{"exp": [1, 0], "coeff": "1/0"}]},
     "missing_nvars": {"terms": [{"exp": [1, 0], "coeff": "1/1"}]},
     "top_level_list": [{"exp": [1, 0], "coeff": "1/1"}],
@@ -269,7 +292,9 @@ MALFORMED_FILES = {
     "bool_exponent": {"nvars": 2, "terms": [{"exp": [True, 0], "coeff": "1/1"},
                                             {"exp": [0, 1], "coeff": 1}]},
     "bool_nvars": {"nvars": True, "terms": [{"exp": [1], "coeff": 1}]},
-}
+}.items()}
+# too deep for the JSON parser, which raises RecursionError
+MALFORMED_FILES["deeply_nested"] = "[" * 100_000 + "]" * 100_000
 
 
 class TestVerifyAndMap:
@@ -277,7 +302,7 @@ class TestVerifyAndMap:
     @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
     def test_malformed_file_is_usage_error(self, capsys, tmp_path, command, name):
         path = tmp_path / "poly.json"
-        path.write_text(json.dumps(MALFORMED_FILES[name]))
+        path.write_text(MALFORMED_FILES[name])
         code = cli.main([command, "--file", str(path)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE

@@ -20,7 +20,6 @@ from sharpmap import (
     mod6,
     mod6_with_trace,
     pell_ratio_site,
-    poly2,
     q,
     q_with_trace,
     ratio4_construct,
@@ -32,12 +31,12 @@ from sharpmap import (
 
 from .oracles import sympy_h_term_count
 
-Q7_EXPECTED = poly2({(7, 0): 1, (3, 1): 7, (3, 3): 7, (1, 3): 7, (0, 7): 1})
-MOD6_1_EXPECTED = poly2({(7, 0): 1, (5, 1): Fraction(7, 2), (1, 1): Fraction(7, 2),
-                         (1, 5): Fraction(7, 2), (0, 7): 1})
+Q7_EXPECTED = Polynomial(2, {(7, 0): 1, (3, 1): 7, (3, 3): 7, (1, 3): 7, (0, 7): 1})
+MOD6_1_EXPECTED = Polynomial(2, {(7, 0): 1, (5, 1): Fraction(7, 2), (1, 1): Fraction(7, 2),
+                                 (1, 5): Fraction(7, 2), (0, 7): 1})
 RATIO4_5_1_EXPECTED = f(11) \
-    - poly2({(9, 1): 11, (7, 2): 44, (5, 3): 77}) \
-    + poly2({(5, 1): 11, (5, 3): 55, (5, 5): 11})
+    - Polynomial(2, {(9, 1): 11, (7, 2): 44, (5, 3): 77}) \
+    + Polynomial(2, {(5, 1): 11, (5, 3): 55, (5, 5): 11})
 
 
 class TestRatioTwoSites:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sharpmap import (
+    Polynomial,
     coefficient_ratio,
     equivalent,
     even_family,
@@ -15,7 +16,6 @@ from sharpmap import (
     f_coefficient,
     is_map_polynomial,
     is_one_on_hyperplane,
-    poly2,
 )
 
 from .oracles import family_by_radical_expansion, family_by_recurrence
@@ -23,17 +23,17 @@ from .oracles import family_by_radical_expansion, family_by_recurrence
 
 class TestFamilyValues:
     def test_f1(self):
-        assert f(1) == poly2({(1, 0): 1, (0, 1): 1})
+        assert f(1) == Polynomial(2, {(1, 0): 1, (0, 1): 1})
 
     def test_f2_has_negative_tail(self):
-        assert f(2) == poly2({(2, 0): 1, (0, 1): 2, (0, 2): -1})
+        assert f(2) == Polynomial(2, {(2, 0): 1, (0, 1): 2, (0, 2): -1})
         assert not is_map_polynomial(f(2))
 
     def test_f3(self):
-        assert f(3) == poly2({(3, 0): 1, (1, 1): 3, (0, 3): 1})
+        assert f(3) == Polynomial(2, {(3, 0): 1, (1, 1): 3, (0, 3): 1})
 
     def test_f7(self):
-        assert f(7) == poly2({(7, 0): 1, (5, 1): 7, (3, 2): 14, (1, 3): 7, (0, 7): 1})
+        assert f(7) == Polynomial(2, {(7, 0): 1, (5, 1): 7, (3, 2): 14, (1, 3): 7, (0, 7): 1})
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
@@ -113,22 +113,18 @@ class TestRatios:
 
 class TestEvenDegree:
     def test_u_1(self):
-        assert even_u(1, 0) == poly2({(1, 1): 3, (0, 3): 1, (4, 0): 1, (3, 1): 1})
+        assert even_u(1, 0) == Polynomial(2, {(1, 1): 3, (0, 3): 1, (4, 0): 1, (3, 1): 1})
 
     def test_u_2(self):
-        assert even_u(0, 1) == poly2({(0, 1): 1, (4, 0): 1, (2, 1): 3, (1, 3): 1})
+        assert even_u(0, 1) == Polynomial(2, {(0, 1): 1, (4, 0): 1, (2, 1): 3, (1, 3): 1})
 
     def test_minimal_case(self):
-        assert even_u(0, 0) == poly2({(0, 1): 1, (2, 0): 1, (1, 1): 1})
-
-    def test_pick_y_variant(self):
-        u = even_u(1, 0, pick_x=False)
-        assert is_map_polynomial(u) and u.degree() == 4 and u.term_count() == 4
+        assert even_u(0, 0) == Polynomial(2, {(0, 1): 1, (2, 0): 1, (1, 1): 1})
 
     def test_family_k2_contains_degree4_pair(self):
         members = even_family(2)
-        pair = [poly2({(4, 0): 1, (3, 1): 1, (1, 1): 3, (0, 3): 1}),
-                poly2({(4, 0): 1, (2, 1): 3, (1, 3): 1, (0, 1): 1})]
+        pair = [Polynomial(2, {(4, 0): 1, (3, 1): 1, (1, 1): 3, (0, 3): 1}),
+                Polynomial(2, {(4, 0): 1, (2, 1): 3, (1, 3): 1, (0, 1): 1})]
         for expected in pair:
             assert any(p == expected for p in members)
 

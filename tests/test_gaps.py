@@ -23,7 +23,6 @@ from sharpmap import (
     is_map_polynomial,
     is_one_on_hyperplane,
     monomials_independent_of_constants,
-    poly2,
     signature,
     signature_impossible,
     signature_witness,
@@ -32,7 +31,7 @@ from sharpmap import (
 
 
 def s_poly(n):
-    return sum((Polynomial.variable(n, i) for i in range(n)), Polynomial.zero(n))
+    return sum((Polynomial.variable(n, i) for i in range(n)), Polynomial(n))
 
 
 class TestFrobenius:
@@ -60,11 +59,11 @@ class TestFrobenius:
 
 class TestOperators:
     def test_w_on_s(self):
-        assert W(s_poly(2)) == poly2({(1, 0): 1, (1, 1): 1, (0, 2): 1})
+        assert W(s_poly(2)) == Polynomial(2, {(1, 0): 1, (1, 1): 1, (0, 2): 1})
 
     def test_v_on_s(self):
-        expected = poly2({(1, 0): 1, (0, 1): Fraction(1, 2),
-                          (1, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)})
+        expected = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 2),
+                                  (1, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)})
         assert V(s_poly(2)) == expected
 
     def test_w_iterates_term_count(self):
@@ -85,14 +84,14 @@ class TestOperators:
                 assert is_map_polynomial(p)
 
     def test_preserve_hyperplane_value(self):
-        p = poly2({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        p = Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
         for op in (W, V):
             out = op(p)
             assert is_one_on_hyperplane(out)
 
     def test_requires_pure_term(self):
         with pytest.raises(ValueError):
-            W(poly2({(1, 1): 1, (1, 0): 1}))
+            W(Polynomial(2, {(1, 1): 1, (1, 0): 1}))
 
 
 class TestDecomposition:
@@ -116,7 +115,7 @@ class TestDecomposition:
 class TestGapWitness:
     def test_n2_n3(self):
         w = gap_witness(2, 3)
-        assert w.poly == poly2({(1, 0): 1, (1, 1): 1, (0, 2): 1})
+        assert w.poly == Polynomial(2, {(1, 0): 1, (1, 1): 1, (0, 2): 1})
 
     def test_n3_n5(self):
         w = gap_witness(3, 5)

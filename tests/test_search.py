@@ -25,7 +25,6 @@ from sharpmap import (
     enumerate_sharp,
     f,
     is_map_polynomial,
-    minimal_terms,
     mod6,
     q,
     uniqueness_status,
@@ -38,6 +37,7 @@ from sharpmap.search import (
     UNIQUE_UP_TO_EQUIVALENCE,
     UNKNOWN,
     SearchStats,
+    UniquenessResult,
     monomial_universe,
     solve_support_system,
 )
@@ -443,17 +443,24 @@ class TestPruningRules:
 
 
 class TestMinimalTerms:
+    @staticmethod
+    def certified_size(degree):
+        result = uniqueness_status(degree)
+        assert result.certificate.min_terms == result.min_terms
+        assert result.certificate.witnesses
+        return result.min_terms
+
     def test_degree1(self):
-        assert minimal_terms(1).min_terms == 2
+        assert self.certified_size(1) == 2
 
     def test_degree2(self):
-        assert minimal_terms(2).min_terms == 3
+        assert self.certified_size(2) == 3
 
     def test_degree4(self):
-        assert minimal_terms(4).min_terms == 4
+        assert self.certified_size(4) == 4
 
     def test_degree7(self):
-        assert minimal_terms(7).min_terms == 5
+        assert self.certified_size(7) == 5
 
     def test_no_witness_at_the_sharp_size_fails_the_theorem(self, monkeypatch):
         # an exhaustive enumeration at ceil((d+3)/2) terms must find f(d) or
@@ -461,7 +468,7 @@ class TestMinimalTerms:
         monkeypatch.setattr(search, "enumerate_sharp",
                             lambda *args: ([], True, SearchStats()))
         with pytest.raises(AssertionError, match="degree 5 with N=4"):
-            minimal_terms(5)
+            uniqueness_status(5)
 
 
 class TestUniqueness:
@@ -520,7 +527,9 @@ class TestUniqueness:
         assert time.monotonic() - start < 10
 
     def test_budget_exhaustion_returns_none(self):
-        assert minimal_terms(9, budget_seconds=0.05) is None
+        # no size, no classes, no polynomials and no certificate
+        assert uniqueness_status(9, budget_seconds=0.05) == \
+            UniquenessResult(9, UNKNOWN, None, 0, (), None)
 
     def test_budget_exhaustion_partial_enumeration(self):
         start = time.monotonic()
