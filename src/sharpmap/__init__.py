@@ -54,8 +54,6 @@ from .pell import (
     solutions,
 )
 from .polynomial import (
-    MembershipError,
-    MonomialMap,
     Polynomial,
     Signature,
     UnsupportedArityError,
@@ -65,7 +63,6 @@ from .polynomial import (
     is_one_on_hyperplane,
     restrict_to_hyperplane,
     signature,
-    to_monomial_map,
 )
 from .search import (
     FeasibilityResult,

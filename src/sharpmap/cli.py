@@ -34,7 +34,7 @@ from .polynomial import (
     is_one_on_hyperplane,
     min_term_count,
     signature,
-    to_monomial_map,
+    terms_to_json,
 )
 
 EXIT_OK = 0
@@ -70,11 +70,15 @@ class Report:
         return EXIT_OK if all(a["passed"] for a in self.assertions) else EXIT_ASSERTION
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float; nan and infinities are refused, as JSON has neither."""
+def _finite_nonnegative(name: str, value) -> float:
+    """``value`` as a float of at least 0.
+
+    A negative time or tolerance means nothing; nan and infinities are
+    refused too, as JSON has neither.
+    """
     number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
     return number
 
 
@@ -180,10 +184,10 @@ def _cmd_pell(args) -> int:
 
 def _cmd_search(args) -> int:
     if args.budget_seconds is not None:
-        budget = _finite("--budget-seconds", args.budget_seconds)
+        budget = _finite_nonnegative("--budget-seconds", args.budget_seconds)
     else:
         raw = os.environ.get("SHARPMAP_BUDGET_SECONDS")
-        budget = _finite("SHARPMAP_BUDGET_SECONDS", raw) if raw else None
+        budget = _finite_nonnegative("SHARPMAP_BUDGET_SECONDS", raw) if raw else None
     report = Report("search", {"degree": args.degree, "terms": args.terms,
                                "budget_seconds": budget, "shards": args.shards})
     if args.terms is not None:
@@ -226,8 +230,7 @@ def _cmd_gaps(args) -> int:
                      witness.poly.term_count() == args.N)
         if args.n >= 2:
             report.check("component monomials admit no constant combination",
-                         gaps.monomials_independent_of_constants(
-                             to_monomial_map(witness.poly)))
+                         gaps.monomials_independent_of_constants(witness.poly))
         return report.emit()
     report = Report("gaps table", {"n": args.n, "to": args.to})
     rows = []
@@ -279,16 +282,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    _finite("--tolerance", args.tolerance)
+    _finite_nonnegative("--tolerance", args.tolerance)
     report = Report("map", {"file": args.file, "samples": args.samples,
                             "seed": args.seed, "tolerance": args.tolerance})
     p = _read_polynomial(args.file)
-    m = to_monomial_map(p)
-    report.outputs["map"] = m.to_json_dict()
-    residual = check_sphere_numeric(m, args.samples, args.seed)
+    if not is_map_polynomial(p):
+        raise ValueError("polynomial is not in the nonnegative hyperplane-one cone")
+    # the map z |-> (sqrt(c_a) z^a)_a is written as its squared coefficients
+    components = terms_to_json(p.canonical_terms(), "sq_coeff")
+    report.outputs["map"] = {"nvars": p.nvars, "components": components}
+    residual = check_sphere_numeric(p, args.samples, args.seed)
     report.outputs["max_residual"] = residual
     report.check("component count equals the term count",
-                 m.term_count() == p.term_count())
+                 len(components) == p.term_count())
     report.check(f"sphere residual at {args.samples} samples within {args.tolerance}",
                  residual <= args.tolerance)
     return report.emit()

@@ -31,7 +31,6 @@ from itertools import combinations
 from .families import f
 from .linprog import max_min_component
 from .polynomial import (
-    MonomialMap,
     Polynomial,
     Signature,
     assert_term_bound,
@@ -166,15 +165,15 @@ def gap_witness(n: int, N: int) -> GapWitness:
     return witness
 
 
-def monomials_independent_of_constants(m: MonomialMap) -> bool:
-    """True iff no nontrivial rational combination of the components is constant.
+def monomials_independent_of_constants(p: Polynomial) -> bool:
+    """True iff no nontrivial rational combination of the map's components is constant.
 
-    ``MonomialMap`` rejects duplicate exponents, and distinct monomials are
-    linearly independent, so the components together with the constant
-    monomial have rank term_count + 1 exactly when no component is the
-    constant monomial itself.
+    The components of the monomial map of p are its terms.  A ``Polynomial``
+    holds each exponent once, and distinct monomials are linearly
+    independent, so the terms together with the constant monomial have rank
+    term_count + 1 exactly when no term is the constant monomial itself.
     """
-    return (0,) * m.nvars not in {e for e, _ in m.components}
+    return (0,) * p.nvars not in p.terms
 
 
 # -- signature catalog -----------------------------------------------------------

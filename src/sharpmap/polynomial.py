@@ -18,8 +18,8 @@ The central predicates:
 Both rest on ``restrict_to_hyperplane``, the one substitution
 x_n = 1 - x_1 - ... - x_{n-1} for every arity, run by Horner's rule in x_n.
 The search reads its linear systems from ``line_columns(d)``, the
-restrictions of every x^a y^b with a + b <= d, which that same routine
-builds once per degree.
+restrictions of every x^a y^b with a + b <= d, built once per degree from
+the d + 1 restrictions of the powers of y.
 
 Values are immutable after construction and safe to share across threads.
 """
@@ -30,7 +30,6 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from types import MappingProxyType
@@ -43,10 +42,6 @@ RationalLike = int | Fraction
 
 class UnsupportedArityError(ValueError):
     """Raised when an operation defined only for two variables gets another arity."""
-
-
-class MembershipError(ValueError):
-    """Raised when a polynomial fails a required cone-membership precondition."""
 
 
 def grlex_key(exp: Exponents) -> tuple[int, Exponents]:
@@ -74,9 +69,14 @@ def _add_terms(out: dict[Exponents, Fraction],
     return out
 
 
-def terms_to_json(terms: Iterable[tuple[Exponents, Fraction]]) -> list[dict]:
-    """The JSON form of (exponent, coefficient) pairs: exponent lists, "num/den" strings."""
-    return [{"exp": list(exp), "coeff": f"{c.numerator}/{c.denominator}"} for exp, c in terms]
+def terms_to_json(terms: Iterable[tuple[Exponents, Fraction]],
+                  key: str = "coeff") -> list[dict]:
+    """The JSON form of (exponent, coefficient) pairs: exponent lists, "num/den" strings.
+
+    ``key`` names the coefficient field: "coeff" for polynomials and
+    replacement records, "sq_coeff" for the squared coefficients of a map.
+    """
+    return [{"exp": list(exp), key: f"{c.numerator}/{c.denominator}"} for exp, c in terms]
 
 
 def _parse_coeff(raw: object) -> Fraction:
@@ -282,44 +282,6 @@ class Signature(NamedTuple):
     n_minus: int
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """A proper monomial sphere map, stored as (exponent, squared coefficient) pairs.
-
-    The component functions of the complex map are sqrt(c_a) z^a; only the
-    squared coefficients c_a are stored, and they must be positive rationals
-    attached to pairwise distinct exponents.
-    """
-
-    nvars: int
-    components: tuple[tuple[Exponents, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if self.nvars < 1:
-            raise ValueError("a monomial map needs at least one variable")
-        seen = set()
-        for exp, sq in self.components:
-            if len(exp) != self.nvars:
-                raise ValueError(f"component exponent {exp} has wrong arity")
-            if sq <= 0:
-                raise ValueError("squared coefficients must be strictly positive")
-            if exp in seen:
-                raise ValueError(f"duplicate component monomial {exp}")
-            seen.add(exp)
-
-    def term_count(self) -> int:
-        return len(self.components)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "components": [
-                {"exp": list(exp), "sq_coeff": f"{c.numerator}/{c.denominator}"}
-                for exp, c in self.components
-            ],
-        }
-
-
 # -- hyperplane restriction ---------------------------------------------------
 
 
@@ -356,8 +318,8 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
     in x_n (say x^N + y^N) pays for every exponent of x_n below its top one.
 
     The restriction is computed once per value: it is kept on ``p``, which is
-    immutable, and later calls (from ``is_one_on_hyperplane``,
-    ``is_map_polynomial`` and ``to_monomial_map`` too) return it.
+    immutable, and later calls (from ``is_one_on_hyperplane`` and
+    ``is_map_polynomial`` too) return it.
     """
     if p._restricted is not None:
         return p._restricted
@@ -396,15 +358,18 @@ def line_columns(degree: int) -> Mapping[tuple[int, int], tuple[int, ...]]:
     that is of x^a (1-x)^b, in the basis 1, x, ..., x^degree; the value of
     (0, 0) is the restriction of the constant 1.  Built once per degree and
     shared by every caller, hence read-only.
+
+    x is not substituted, so the restriction of x^a y^b is x^a times that of
+    y^b: the table costs the d + 1 restrictions of y^b, each shifted by a.
     """
-    table = {}
-    for t in range(degree + 1):
-        for a in range(t + 1):
-            col = [0] * (degree + 1)
-            for (k,), c in restrict_to_hyperplane(Polynomial(2, {(a, t - a): 1})).terms.items():
-                col[k] = c.numerator
-            table[(a, t - a)] = tuple(col)
-    return MappingProxyType(table)
+    powers = []
+    for b in range(degree + 1):
+        col = [0] * (degree + 1)
+        for (k,), c in restrict_to_hyperplane(Polynomial(2, {(0, b): 1})).terms.items():
+            col[k] = c.numerator
+        powers.append(col)
+    return MappingProxyType({(a, t - a): tuple([0] * a + powers[t - a][:degree + 1 - a])
+                             for t in range(degree + 1) for a in range(t + 1)})
 
 
 def is_one_on_hyperplane(p: Polynomial) -> bool:
@@ -433,13 +398,6 @@ def equivalent(p: Polynomial, q: Polynomial) -> bool:
     if p.nvars != 2 or q.nvars != 2:
         raise UnsupportedArityError("equivalence is defined only for two-variable polynomials")
     return p == q or p == q.swap_xy()
-
-
-def to_monomial_map(p: Polynomial) -> MonomialMap:
-    """Convert a map polynomial to its proper monomial sphere map."""
-    if not is_map_polynomial(p):
-        raise MembershipError("polynomial is not in the nonnegative hyperplane-one cone")
-    return MonomialMap(p.nvars, p.canonical_terms())
 
 
 def min_term_count(degree: int) -> int:
@@ -505,12 +463,15 @@ def _pow_scaled(mant: float, exp2: int, power: int) -> tuple[float, int]:
     return rm, re
 
 
-def check_sphere_numeric(m: MonomialMap, samples: int, seed: int) -> float:
+def check_sphere_numeric(p: Polynomial, samples: int, seed: int) -> float:
     """Maximum |  ||f(z)||^2 - 1 | over pseudo-random points on the unit sphere.
 
-    Points are drawn deterministically from ``seed``.  Since only the moduli
-    |z_j|^2 enter, each sample reduces to a point (x_1, ..., x_n) with
-    x_j >= 0 and sum x_j = 1, obtained by normalizing squared Gaussians.
+    f is the monomial map z |-> (sqrt(c_a) z^a)_a of p = sum c_a x^a, so
+    ||f(z)||^2 = p(|z_1|^2, ..., |z_n|^2).  p needs at least one variable
+    and is not otherwise checked.  Points are drawn deterministically from
+    ``seed``.  Since only the moduli |z_j|^2 enter, each sample reduces to
+    a point (x_1, ..., x_n) with x_j >= 0 and sum x_j = 1, obtained by
+    normalizing squared Gaussians.
 
     The float-safe terms c * x_1^e_1 * ... * x_n^e_n of a sample are formed
     by C-level maps, one variable at a time.  The result is bit for bit that
@@ -521,13 +482,15 @@ def check_sphere_numeric(m: MonomialMap, samples: int, seed: int) -> float:
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    n = p.nvars
+    if n < 1:  # no point of the sphere would ever be drawn
+        raise ValueError("the sphere check needs at least one variable")
     rng = random.Random(seed)
-    n = m.nvars
 
-    # split components into float-safe terms and scaled big-coefficient terms
+    # split the terms into float-safe ones and scaled big-coefficient ones
     plain: list[tuple[Exponents, float]] = []
     scaled: list[tuple[Exponents, float, int]] = []
-    for exp, sq in m.components:
+    for exp, sq in p.canonical_terms():
         if sq.numerator.bit_length() < 512 and sq.denominator.bit_length() < 512:
             plain.append((exp, sq.numerator / sq.denominator))
         else:

@@ -312,6 +312,8 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
         raise ValueError("a map polynomial of positive degree needs at least 2 terms")
     if shards < 1:
         raise ValueError(f"shards must be at least 1, got {shards}")
+    if budget_seconds is not None and not budget_seconds >= 0:  # nan too
+        raise ValueError(f"budget_seconds must be None or at least 0, got {budget_seconds}")
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
     universe = monomial_universe(degree)

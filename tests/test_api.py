@@ -15,8 +15,6 @@ PUBLIC_NAMES = [
     "FeasibilityResult",
     "GapWitness",
     "GeneralizedPellSolution",
-    "MembershipError",
-    "MonomialMap",
     "PellSolution",
     "Polynomial",
     "ReplacementStep",
@@ -67,7 +65,6 @@ PUBLIC_NAMES = [
     "signature_witness",
     "solution_at",
     "solutions",
-    "to_monomial_map",
     "uniqueness_status",
 ]
 

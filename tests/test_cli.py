@@ -96,6 +96,9 @@ PINNED_REPORTS = {
         "572fedf42976ec78eb656253bc735ee84ea5bc6478ff9bc63b769f72a8b1f2de",
     ("map", "--file", "f121.json", "--samples", "1000", "--seed", "1234"):
         "7b9aa4e79e619a59885d3c639b49a22e909fe41560c8d492c7621d38e6e9f074",
+    # f1351.json holds f(1351): scaled big-coefficient terms and their components JSON
+    ("map", "--file", "f1351.json", "--samples", "20", "--seed", "1234"):
+        "325070dd1cfa2ea5e44c28572ac759386e25526e3c4e743a62f92707bca6224b",
     ("family", "even", "--k", "4"):
         "ced52ff7047749fbda719dbe40a6cbea9cedb7024e172413c9d602b6f819cade",
     # append_negative applied to the constant 1 in three variables
@@ -121,6 +124,8 @@ def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv):
     from sharpmap import f
     monkeypatch.chdir(tmp_path)
     (tmp_path / "f121.json").write_text(json.dumps(f(121).to_json_dict()))
+    if "f1351.json" in argv:
+        (tmp_path / "f1351.json").write_text(json.dumps(f(1351).to_json_dict()))
     assert cli.main(list(argv)) == PINNED_EXIT_CODES.get(argv, cli.EXIT_OK)
     assert report_digest(capsys.readouterr().out) == PINNED_REPORTS[argv]
 
@@ -212,6 +217,11 @@ class TestSearch:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert lines == [f"error: degree must be positive, got {argv[1]}"]
+
+    def test_zero_budget_is_valid_and_exhausts(self, capsys):
+        code, report = run(capsys, "search", "--degree", "3", "--budget-seconds", "0")
+        assert code == cli.EXIT_BUDGET
+        assert report["outputs"]["result"]["status"] == "unknown"
 
     @pytest.mark.parametrize("extra", [(), ("--terms", "3"), ("--budget-seconds", "0")])
     @pytest.mark.parametrize("shards", ["0", "-2"])
@@ -310,7 +320,7 @@ class TestVerifyAndMap:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "-1"])
     @pytest.mark.parametrize("source", ["budget_flag", "budget_env", "tolerance"])
     def test_non_finite_float_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                              source, value):
@@ -327,7 +337,9 @@ class TestVerifyAndMap:
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        option = {"budget_flag": "--budget-seconds", "budget_env": "SHARPMAP_BUDGET_SECONDS",
+                  "tolerance": "--tolerance"}[source]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {option} must ")
 
     def test_verify_round_trip(self, capsys, tmp_path):
         from sharpmap import q

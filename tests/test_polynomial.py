@@ -1,4 +1,4 @@
-"""Core polynomial arithmetic, membership predicates, and the map conversion."""
+"""Core polynomial arithmetic, membership predicates, and the sphere map of a polynomial."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sharpmap import (
-    MembershipError,
-    MonomialMap,
     Polynomial,
     Signature,
     UnsupportedArityError,
@@ -28,9 +26,9 @@ from sharpmap import (
     q,
     restrict_to_hyperplane,
     signature,
-    to_monomial_map,
 )
-from sharpmap.polynomial import line_columns
+from sharpmap import polynomial
+from sharpmap.polynomial import line_columns, terms_to_json
 
 from .oracles import random_polynomial, restrict_by_terms, sympy_restriction, to_sympy
 
@@ -145,6 +143,19 @@ class TestRestriction:
                     low_first = sympy.Poly(x ** a * (1 - x) ** b, x).all_coeffs()[::-1]
                     expected = [int(c) for c in low_first] + [0] * (d - a - b)
                     assert line_columns(d)[(a, b)] == tuple(expected)
+
+    @pytest.mark.parametrize("degree", [0, 1, 7, 12])
+    def test_line_columns_restrict_each_power_of_y_once(self, monkeypatch, degree):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return restrict_to_hyperplane(p)
+
+        monkeypatch.setattr(polynomial, "restrict_to_hyperplane", counted)
+        table = line_columns.__wrapped__(degree)  # a fresh build, not the cached one
+        assert len(calls) == degree + 1
+        assert table == line_columns(degree)
 
     def test_one_variable_gives_constant(self):
         p = Polynomial(1, {(3,): 1, (0,): 2})
@@ -261,50 +272,45 @@ class TestEquivalence:
 
 
 class TestMonomialMap:
+    """The map z |-> (sqrt(c_a) z^a)_a of a map polynomial sum c_a x^a."""
+
     def test_identity_like(self):
-        m = to_monomial_map(X_PLUS_Y)
-        assert [c for _, c in m.components] == [1, 1]
+        assert is_map_polynomial(X_PLUS_Y)
+        assert [c for _, c in X_PLUS_Y.canonical_terms()] == [1, 1]
 
     def test_f3_squared_coefficients(self):
-        m = to_monomial_map(F3)
-        assert sorted(c for _, c in m.components) == [1, 1, 3]
+        assert is_map_polynomial(F3)
+        assert sorted(F3.terms.values()) == [1, 1, 3]
 
     def test_f7_squared_coefficients(self):
-        m = to_monomial_map(f(7))
-        assert sorted(c for _, c in m.components) == [1, 1, 7, 7, 14]
+        assert is_map_polynomial(f(7))
+        assert sorted(f(7).terms.values()) == [1, 1, 7, 7, 14]
 
     def test_requires_cone_membership(self):
-        with pytest.raises(MembershipError):
-            to_monomial_map(2 * X_PLUS_Y - Polynomial.constant(2, 1))
+        assert not is_map_polynomial(2 * X_PLUS_Y - Polynomial.constant(2, 1))
 
     def test_component_count_matches_terms(self):
         for p in (X_PLUS_Y, F3, f(9), q(7)):
-            assert to_monomial_map(p).term_count() == p.term_count()
-
-    def test_duplicate_components_rejected(self):
-        with pytest.raises(ValueError):
-            MonomialMap(2, (((1, 0), Fraction(1)), ((1, 0), Fraction(1))))
+            components = terms_to_json(p.canonical_terms(), "sq_coeff")
+            assert len(components) == p.term_count()
+            assert all(sorted(c) == ["exp", "sq_coeff"] for c in components)
+            assert {tuple(c["exp"]): Fraction(c["sq_coeff"]) for c in components} == p.terms
 
 
 class TestSphereCheck:
     def test_identity_map_residual(self):
-        m = to_monomial_map(X_PLUS_Y)
-        assert check_sphere_numeric(m, 100, seed=1) <= 1e-12
+        assert check_sphere_numeric(X_PLUS_Y, 100, seed=1) <= 1e-12
 
     def test_f7_residual(self):
-        m = to_monomial_map(f(7))
-        assert check_sphere_numeric(m, 1000, seed=1) <= 1e-10
+        assert check_sphere_numeric(f(7), 1000, seed=1) <= 1e-10
 
     def test_perturbed_map_detected(self):
-        comps = list(to_monomial_map(X_PLUS_Y).components)
-        exp, c = comps[0]
-        comps[0] = (exp, c + Fraction(1, 1000))
-        bad = MonomialMap(2, tuple(comps))
+        bad = X_PLUS_Y + Polynomial(2, {(1, 0): Fraction(1, 1000)})
         assert check_sphere_numeric(bad, 100, seed=1) >= 1e-4
 
     def test_deterministic_in_seed(self):
-        m = to_monomial_map(f(5))
-        assert check_sphere_numeric(m, 50, seed=3) == check_sphere_numeric(m, 50, seed=3)
+        p = f(5)
+        assert check_sphere_numeric(p, 50, seed=3) == check_sphere_numeric(p, 50, seed=3)
 
     def test_huge_coefficient_fractions_are_handled(self):
         # hyperplane-one member whose coefficients have ~400-digit numerators,
@@ -313,7 +319,7 @@ class TestSphereCheck:
         p = Polynomial(2, {(2, 0): 1, (1, 1): 2 - Fraction(1, big),
                            (0, 2): 1 - Fraction(1, big), (0, 1): Fraction(1, big)})
         assert is_map_polynomial(p)
-        assert check_sphere_numeric(to_monomial_map(p), 50, seed=2) <= 1e-10
+        assert check_sphere_numeric(p, 50, seed=2) <= 1e-10
 
     @pytest.mark.parametrize("make, samples, expected", [
         (lambda: f(7), 1000, "0x1.0000000000000p-50"),
@@ -324,14 +330,18 @@ class TestSphereCheck:
         (lambda: mod6(3), 500, "0x1.6000000000000p-49"),
     ], ids=["f7", "f121", "f1351", "gap_1_5", "gap_4_12", "mod6_3"])
     def test_residual_bit_for_bit(self, make, samples, expected):
-        # pinned from the per-term loop; the map is built without restricting
+        # pinned from the per-term loop; the check does not restrict p
         p = make()
-        m = MonomialMap(p.nvars, p.canonical_terms())
-        assert check_sphere_numeric(m, samples, seed=1234).hex() == expected
+        assert check_sphere_numeric(p, samples, seed=1234).hex() == expected
 
     def test_samples_validated(self):
         with pytest.raises(ValueError):
-            check_sphere_numeric(to_monomial_map(X_PLUS_Y), 0, seed=1)
+            check_sphere_numeric(X_PLUS_Y, 0, seed=1)
+
+    def test_needs_a_variable(self):
+        # no point of the sphere of C^0 can be drawn, so the check would not return
+        with pytest.raises(ValueError):
+            check_sphere_numeric(Polynomial(0, {(): 1}), 5, seed=1)
 
 
 def to_text(p: Polynomial) -> str:

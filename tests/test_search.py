@@ -526,6 +526,15 @@ class TestUniqueness:
         assert not exhaustive
         assert time.monotonic() - start < 10
 
+    @pytest.mark.parametrize("budget", [math.nan, -1, -0.5])
+    def test_negative_or_nan_budget_rejected(self, budget):
+        # nan compares false with every deadline, so it would run unbounded
+        # and report itself exhaustive
+        with pytest.raises(ValueError, match="budget_seconds"):
+            enumerate_sharp(3, 3, budget_seconds=budget)
+        with pytest.raises(ValueError, match="budget_seconds"):
+            uniqueness_status(3, budget_seconds=budget)
+
     def test_budget_exhaustion_returns_none(self):
         # no size, no classes, no polynomials and no certificate
         assert uniqueness_status(9, budget_seconds=0.05) == \
