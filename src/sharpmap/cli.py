@@ -74,11 +74,16 @@ def _finite_nonnegative(name: str, value) -> float:
     """``value`` as a float of at least 0.
 
     A negative time or tolerance means nothing; nan and infinities are
-    refused too, as JSON has neither.
+    refused too, as JSON has neither.  Every refusal, a value that is not a
+    number included, is a ValueError that names ``name``.
     """
-    number = float(value)
+    message = f"{name} must be a finite number of at least 0, got {value!r}"
+    try:
+        number = float(value)
+    except ValueError:
+        raise ValueError(message) from None
     if not (math.isfinite(number) and number >= 0):
-        raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
+        raise ValueError(message)
     return number
 
 

@@ -40,13 +40,12 @@ Support enumeration applies four pruning rules, each with a one-line proof:
         must contain monomials with both parities of b.  (Subsumes (i).)
 
 Supports are index tuples into the graded-lex universe, generated depth
-first in lexicographic order, so consecutive solves share all but their
-last columns and the column reduction of each prefix is reused.  Each
-level carries the bitmask of the chosen indices, the bitmask of their
-mirrors and the set of rules (ii) and (iv) already met.  A subtree that no
-later index can complete to meet them is skipped whole, and the last index
-is drawn only from those that meet every missing rule.  The swap test is
-one bit test: the mirror is smaller iff the lowest set bit of
+first in lexicographic order by ``_Walk``, which carries the bitmask of the
+chosen indices, the bitmask of their mirrors and the set of rules (ii) and
+(iv) already met, never visits a subtree that holds no generated support
+(each skip is proved in its docstring), and keeps one column reduction per
+depth, so each solve reduces only its last column.  The swap test is one
+bit test: the mirror is smaller iff the lowest set bit of
 ``mask ^ mirror`` lies in ``mirror`` (two sorted index lists of equal
 length first differ at the least element of their symmetric difference).
 A candidate that is not generated is pruned, so the pruned count is the
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 
-from .linprog import max_min_component
+from .linprog import _extend, _Reduction, _start, max_min_component
 from .polynomial import (Polynomial, assert_term_bound, is_map_polynomial, line_columns,
                          min_term_count)
 
@@ -111,19 +110,21 @@ class FeasibilityResult:
 _INFEASIBLE = FeasibilityResult("infeasible", None, 0)
 
 
-def solve_support_system(monomials, degree: int) -> FeasibilityResult:
+def solve_support_system(monomials, degree: int,
+                         prefix: _Reduction | None = None) -> FeasibilityResult:
     """Exact positivity decision for an arbitrary monomial set (no pruning).
 
     The columns and the right-hand side, the column of the constant 1, are
     read from ``line_columns(degree)``; a monomial of total degree above
-    ``degree`` raises ValueError.
+    ``degree`` raises ValueError.  ``prefix``, when given, is the reduction
+    of all but the last column, passed on to ``max_min_component``.
     """
     table = line_columns(degree)
     try:
         columns = [table[m] for m in monomials]
     except KeyError as exc:
         raise ValueError(f"monomial {exc.args[0]} is not x^a y^b with a + b <= {degree}") from None
-    t_star, u, freedom = max_min_component(columns, table[(0, 0)])
+    t_star, u, freedom = max_min_component(columns, table[(0, 0)], prefix)
     if t_star is None:
         return _INFEASIBLE
     return FeasibilityResult("point" if freedom == 0 else "polytope", u, freedom)
@@ -203,55 +204,112 @@ def _rule_bits(mon: Monomial, degree: int) -> int:
 
 
 class _Walk:
-    """Bit tables of one degree for the depth-first walk over supports.
+    """The depth-first walk over the supports whose smallest universe index is ``first``.
 
-    ``universe``: the candidate monomials in graded-lex order;
-    ``rules[i]``: the rules that universe index i meets; ``rules_above[i]``:
-    those that some index above i meets; ``swap_bit[i]``: the bit of the
-    index of the mirrored monomial; ``supplies[missing]``: the indices that
-    meet every rule in ``missing``.
+    It solves each generated support in lexicographic order and keeps one
+    column reduction per depth: ``reductions[i]`` is the reduction of the
+    first i indices of the current support, built when the first support
+    under that node is solved, so that every solve is handed the reduction
+    of all but its last column.  Children are drawn from bitmasks of
+    eligible indices, and a child whose subtree holds no generated support
+    is skipped:
+
+    - an index whose mirror lies below ``first`` is not eligible: it is never
+      in a canonical support with smallest index ``first``, as the mirrored
+      sorted list would then start below ``first`` (and when the mirror of
+      ``first`` lies below it, no index is eligible);
+    - ``room[s]``: the eligible indices with at least s - 1 eligible
+      indices above them, as a child that leaves s - 1 slots needs that many;
+    - ``rules_above[i]``: the rules met by some eligible index above i; a
+      child after which a rule of (ii) or (iv) is missing and met by no later
+      index completes to no generated support;
+    - ``supply[missing]``: the eligible indices that meet every rule in
+      ``missing``; with one slot left after a child, the last index must meet
+      every missing rule at once, so it is drawn from these alone, and a
+      child with none above it is skipped.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, terms: int, first: int, deadline):
+        self.degree, self.deadline = degree, deadline
         self.universe = universe = monomial_universe(degree)
-        index_of = {m: i for i, m in enumerate(universe)}
-        self.n = len(universe)
-        self.rules = [_rule_bits(m, degree) for m in universe]
-        self.swap_bit = [1 << index_of[(b, a)] for a, b in universe]
-        self.rules_above = [0] * self.n
-        for i in reversed(range(self.n - 1)):
-            self.rules_above[i] = self.rules_above[i + 1] | self.rules[i + 1]
-        self.supplies = [sum(1 << i for i, r in enumerate(self.rules) if r & missing == missing)
-                         for missing in range(_ALL_RULES + 1)]
+        self.n = n = len(universe)
+        table = line_columns(degree)
+        self.columns = [table[mon] for mon in universe]
+        index_of = {mon: i for i, mon in enumerate(universe)}
+        mirror = [index_of[(b, a)] for a, b in universe]
+        self.swap_bit = [1 << k for k in mirror]
+        self.rules = [_rule_bits(mon, degree) for mon in universe]
+        eligible = [i for i in range(first + 1, n) if mirror[i] >= first] \
+            if mirror[first] >= first else []
+        self.supply = [sum(1 << i for i in eligible if self.rules[i] & missing == missing)
+                       for missing in range(_ALL_RULES + 1)]
+        self.rules_above = [sum(1 << r for r in range(4) if self.supply[1 << r] >> i + 1)
+                            for i in range(n)]
+        self.room = [sum(1 << i for i in eligible[:len(eligible) + 1 - s])
+                     for s in range(terms + 1)]
+        self.reductions = [_start(table[(0, 0)], terms)]
+        self.witnesses: list[SharpWitness] = []
+        self.examined = 0
 
-    def supports(self, combo: tuple[int, ...], met: int, mask: int, mirror: int, slots: int):
-        """Yield, in lexicographic order, the canonical supports extending ``combo``.
+    def descend(self, combo: tuple[int, ...], children: int, met: int, mask: int, mirror: int,
+                slots: int) -> tuple[int, ...] | None:
+        """Solve, in lexicographic order, the generated supports below ``combo``.
 
         ``combo`` is a sorted tuple of universe indices, ``met`` the rules it
         meets, ``mask`` and ``mirror`` the bitmasks of its indices and of their
-        mirrors; ``slots`` more indices, each above the last, are appended.
-        A yielded support meets (ii) and (iv) and is swap canonical.
+        mirrors; ``slots`` (at least 2) more indices are appended, the first
+        of them from the bitmask ``children``.  A support is generated when
+        it meets (ii) and (iv) and is swap canonical.  Returns None when
+        every generated support is solved, and the first one left unsolved
+        when the deadline has passed.
         """
-        j = combo[-1]
-        if slots == 1:
-            allowed = self.supplies[_ALL_RULES & ~met] >> (j + 1) << (j + 1)
+        depth = len(combo)
+        rules, swap_bit, supply, reductions = \
+            self.rules, self.swap_bit, self.supply, self.reductions
+        degree, deadline, universe = self.degree, self.deadline, self.universe
+        while children:
+            low = children & -children
+            children ^= low
+            i = low.bit_length() - 1
+            now = met | rules[i]
+            if slots > 2:
+                if _ALL_RULES & ~now & ~self.rules_above[i]:
+                    continue
+                del reductions[depth + 1:]
+                stop = self.descend(combo + (i,), self.room[slots - 1] >> i + 1 << i + 1, now,
+                                    mask | low, mirror | swap_bit[i], slots - 1)
+                if stop is not None:
+                    return stop
+                continue
+            allowed = supply[_ALL_RULES & ~now] >> i + 1 << i + 1
+            if not allowed:
+                continue
+            del reductions[depth + 1:]
+            node, mask_i, mirror_i = combo + (i,), mask | low, mirror | swap_bit[i]
+            prefix = None
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low
                 k = low.bit_length() - 1
-                full = mask | low
-                mirrored = mirror | self.swap_bit[k]
-                diff = full ^ mirrored
-                # the lowest index in just one of the two sorted lists decides
-                if not diff & -diff & mirrored:
-                    yield combo + (k,)
-            return
-        for i in range(j + 1, self.n - slots + 1):
-            now = met | self.rules[i]
-            if _ALL_RULES & ~now & ~self.rules_above[i]:
-                continue  # no index above i meets the missing rule
-            yield from self.supports(combo + (i,), now, mask | 1 << i,
-                                     mirror | self.swap_bit[i], slots - 1)
+                mirrored = mirror_i | swap_bit[k]
+                diff = (mask_i | low) ^ mirrored
+                if diff & -diff & mirrored:
+                    continue
+                # before every solve: one solve can take seconds at high freedom
+                if deadline is not None and time.monotonic() > deadline:
+                    return node + (k,)
+                if prefix is None:
+                    columns, m = self.columns, len(self.columns[0])
+                    for j in node[len(reductions) - 1:]:
+                        reductions.append(_extend(reductions[-1], columns[j], m))
+                    prefix = reductions[-1]
+                    head = tuple(map(universe.__getitem__, node))
+                self.examined += 1
+                mons = head + (universe[k],)
+                res = solve_support_system(mons, degree, prefix)
+                if res.feasible:
+                    self.witnesses.append(_witness_from_result(mons, degree, res))
+        return None
 
 
 def _lex_rank(combo: tuple[int, ...], n: int) -> int:
@@ -279,20 +337,12 @@ def _search_block(degree: int, terms: int, first: int, deadline):
     # candidates of one first index alone can take seconds
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
-    walk = _Walk(degree)
-    witnesses: list[SharpWitness] = []
-    examined = 0
-    for combo in walk.supports((first,), walk.rules[first], 1 << first,
-                               walk.swap_bit[first], terms - 1):
-        # before every solve: one solve can take seconds at high freedom
-        if deadline is not None and time.monotonic() > deadline:
-            return witnesses, examined, _lex_rank(combo, walk.n) - examined, False
-        examined += 1
-        mons = tuple(walk.universe[i] for i in combo)
-        res = solve_support_system(mons, degree)
-        if res.feasible:
-            witnesses.append(_witness_from_result(mons, degree, res))
-    return witnesses, examined, math.comb(walk.n - 1 - first, terms - 1) - examined, True
+    walk = _Walk(degree, terms, first, deadline)
+    stop = walk.descend((), 1 << first, 0, 0, 0, terms)
+    if stop is not None:
+        return walk.witnesses, walk.examined, _lex_rank(stop, walk.n) - walk.examined, False
+    return (walk.witnesses, walk.examined,
+            math.comb(walk.n - 1 - first, terms - 1) - walk.examined, True)
 
 
 def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None,

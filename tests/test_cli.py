@@ -341,6 +341,17 @@ class TestVerifyAndMap:
                   "tolerance": "--tolerance"}[source]
         assert len(lines) == 1 and lines[0].startswith(f"error: {option} must ")
 
+    def test_non_number_budget_env_is_usage_error(self, capsys, monkeypatch):
+        # argparse refuses a non-number flag itself; the environment
+        # variable goes through float(), whose own message names no option
+        monkeypatch.setenv("SHARPMAP_BUDGET_SECONDS", "abc")
+        code = cli.main(["search", "--degree", "3"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: SHARPMAP_BUDGET_SECONDS must ")
+
     def test_verify_round_trip(self, capsys, tmp_path):
         from sharpmap import q
         path = tmp_path / "poly.json"

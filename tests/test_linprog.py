@@ -6,7 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sharpmap.linprog import max_min_component
+from sharpmap.linprog import _extend, _start, max_min_component
 from sharpmap.polynomial import line_columns
 
 from .oracles import max_min_by_rows, max_min_by_vertices
@@ -79,23 +79,58 @@ ORACLE_EXAMPLES = [
 ]
 
 
-def with_examples(test):
-    for system in reversed(ORACLE_EXAMPLES):
-        test = example(system)(test)
-    return test
+def with_examples(*systems):
+    def decorate(test):
+        for system in reversed(systems):
+            test = example(system)(test)
+        return test
+    return decorate
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(reducible_systems())
-@with_examples
+@with_examples(*ORACLE_EXAMPLES)
 def test_column_reduction_matches_whole_system_elimination(system):
     columns, rhs = system
     assert max_min_component(columns, rhs) == max_min_by_rows(columns, rhs)
 
 
+def prefix_reduction(columns, rhs):
+    """The reduction of ``columns[:-1]``, built as the search builds its prefixes."""
+    state = _start(rhs, len(columns))
+    for column in columns[:-1]:
+        state = _extend(state, column, len(rhs))
+    return state
+
+
+PREFIX_EXAMPLES = [
+    # the prefix leaves R = (0, 1) and the last column reduces to zero
+    ([[1, 0], [2, 0]], [0, 1]),
+    # the last column reduces to (0, 1, 0), nonzero first where R = (0, 0, 1)
+    # is zero, so the new pivot leaves R as it is
+    ([[1, 0, 0], [0, 1, 0]], [0, 0, 1]),
+    # the reduction (0, 1, 1) meets R = (0, 1, 2) at its lead row only
+    ([[1, 0, 0], [0, 1, 1]], [0, 1, 2]),
+    # the reduction (0, 1) is R itself: consistent, u = (1, 1)
+    ([[1, 0], [1, 1]], [2, 1]),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(reducible_systems())
+@with_examples(*ORACLE_EXAMPLES, *PREFIX_EXAMPLES)
+def test_prefix_reduction_gives_the_same_answer(system):
+    # the consistency-first rejection against a nonzero prefix residual and
+    # the full reduction of the last column must agree with both oracles
+    columns, rhs = system
+    want = max_min_by_rows(columns, rhs)
+    assert max_min_component(columns, rhs, prefix_reduction(columns, rhs)) == want
+    assert max_min_component(columns, rhs) == want
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.one_of(generic_systems(), signed_line_systems()))
-@with_examples
+@with_examples(*ORACLE_EXAMPLES)
 def test_max_min_component_matches_vertex_oracle(system):
     columns, rhs = system
     t_star, u, freedom = max_min_component(columns, rhs)

@@ -356,9 +356,9 @@ class TestWalk:
         # infeasible
         solved = []
 
-        def recording(mons, d, solve=search.solve_support_system):
+        def recording(mons, d, prefix=None, solve=search.solve_support_system):
             solved.append(mons)
-            return solve(mons, d) if terms < 10 else search._INFEASIBLE
+            return solve(mons, d, prefix) if terms < 10 else search._INFEASIBLE
 
         monkeypatch.setattr(search, "solve_support_system", recording)
         for first in range(len(monomial_universe(degree))):
@@ -397,15 +397,64 @@ class TestWalk:
         assert (witnesses, exhaustive, stats.examined, stats.pruned) == \
             (want_witnesses, want_exhaustive, want_stats.examined, want_stats.pruned)
 
-    def test_enumeration_leaves_no_cyclic_garbage(self):
-        # cyclic garbage waits for the collector and raises peak memory
-        gc.collect()
-        gc.disable()
-        try:
-            enumerate_sharp(6, 5)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    def test_enumeration_leaves_no_cyclic_garbage(self, monkeypatch):
+        # cyclic garbage waits for the collector and raises peak memory; a
+        # run stopped by its budget unwinds the walk, and an exception
+        # caught on the way would leave its traceback's frames in a cycle
+        runs = {"complete": lambda: enumerate_sharp(6, 5),
+                "budget_stop": lambda: enumerate_sharp(6, 5, budget_seconds=1),
+                "certificate": lambda: uniqueness_status(7)}
+        for name, run in runs.items():
+            if name == "budget_stop":
+                self.clock_after(monkeypatch, 120)
+            gc.collect()
+            gc.disable()
+            try:
+                result = run()
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()
+            if name == "budget_stop":
+                assert not result[1]  # the budget did stop it
+
+    def test_prefix_solve_matches_the_plain_solve(self, monkeypatch):
+        # every support the walk solves, solved again without the reduction
+        # of its prefix
+        checked = []
+
+        def both(mons, d, prefix=None, solve=search.solve_support_system):
+            res = solve(mons, d, prefix)
+            assert prefix is not None and res == solve(mons, d), mons
+            checked.append(mons)
+            return res
+
+        monkeypatch.setattr(search, "solve_support_system", both)
+        for degree in range(1, 7):
+            checked.clear()
+            result = uniqueness_status(degree)
+            assert len(checked) == result.certificate.stats.examined > 0
+
+    def test_one_reduction_per_solved_prefix(self, monkeypatch):
+        # a prefix is reduced when the first support under it is solved and
+        # kept for the rest, and a node with no solved support reduces
+        # nothing (building at every visited node would make 16,176 at d = 7)
+        built, solved = [], []
+        extend = search._extend
+
+        def counting(state, column, m):
+            built.append(column)
+            return extend(state, column, m)
+
+        def recording(mons, d, prefix=None, solve=search.solve_support_system):
+            solved.append(mons)
+            return solve(mons, d, prefix)
+
+        monkeypatch.setattr(search, "_extend", counting)
+        monkeypatch.setattr(search, "solve_support_system", recording)
+        uniqueness_status(7)
+        prefixes = {mons[:k] for mons in solved for k in range(1, len(mons))}
+        assert Counter(map(len, prefixes)) == {1: 17, 2: 242, 3: 2645, 4: 10375}
+        assert len(built) == len(prefixes) == 13279
 
 
 class TestPruningRules:
