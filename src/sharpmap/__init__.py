@@ -56,7 +56,6 @@ from .pell import (
 from .polynomial import (
     Polynomial,
     Signature,
-    UnsupportedArityError,
     check_sphere_numeric,
     equivalent,
     is_map_polynomial,

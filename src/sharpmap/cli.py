@@ -57,7 +57,7 @@ class Report:
         self.assertions.append({"claim": claim, "passed": bool(passed)})
         return passed
 
-    def emit(self, stream=None) -> int:
+    def emit(self) -> int:
         body = {
             "command": self.command,
             "inputs": self.inputs,
@@ -65,8 +65,7 @@ class Report:
             "assertions": self.assertions,
             "timing_seconds": round(time.monotonic() - self._start, 3),
         }
-        json.dump(body, stream or sys.stdout, indent=2)
-        (stream or sys.stdout).write("\n")
+        print(json.dumps(body, indent=2))
         return EXIT_OK if all(a["passed"] for a in self.assertions) else EXIT_ASSERTION
 
 
@@ -158,13 +157,22 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_pell(args) -> int:
-    if args.general_d is not None:
+    general = args.general_d is not None
+    # a flag of the other mode is refused, not silently ignored; an unset one takes its default
+    for flag, dest, default, read in (("--lambda", "lam", 12, not general),
+                                      ("--count", "count", 5, not general),
+                                      ("--b-bound", "b_bound", 64, general)):
+        value = getattr(args, dest)
+        if value is not None and not read:
+            raise ValueError(f"{flag} {'is not read with' if general else 'needs'} --general-d")
+        setattr(args, dest, default if value is None else value)
+    if general:
         # name the options given, not the library's parameters
         if args.b_bound < 1:
             raise ValueError(f"--b-bound must be at least 1, got {args.b_bound}")
         if args.general_n == 0:
             raise ValueError("--general-n (N) must be nonzero")
-        pell.validate_lambda(args.general_d, "--general-d (D)")
+        pell.check_lambda(args.general_d, "--general-d (D)")
         inputs = {"D": args.general_d, "N": args.general_n, "b_bound": args.b_bound}
         report = Report("pell general", inputs)
         sols = pell.generalized_solutions(args.general_d, args.general_n, args.b_bound)
@@ -173,7 +181,7 @@ def _cmd_pell(args) -> int:
                      all(s.a ** 2 - args.general_d * s.b ** 2 == args.general_n
                          for s in sols))
         return report.emit()
-    pell.validate_lambda(args.lam, "--lambda")
+    pell.check_lambda(args.lam, "--lambda")
     report = Report("pell", {"lambda": args.lam, "count": args.count})
     sols = pell.solutions(args.lam, args.count)
     report.outputs["solutions"] = [s.to_json_dict() for s in sols]
@@ -343,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     construct.set_defaults(handler=_cmd_construct)
 
     pell_cmd = sub.add_parser("pell", help="Pell equation solutions")
-    pell_cmd.add_argument("--lambda", dest="lam", type=int, default=12)
-    pell_cmd.add_argument("--count", type=int, default=5)
+    pell_cmd.add_argument("--lambda", dest="lam", type=int, default=None)
+    pell_cmd.add_argument("--count", type=int, default=None)
     pell_cmd.add_argument("--general-d", dest="general_d", type=int, default=None,
                           help="D for the generalized equation a^2 - D b^2 = N")
     pell_cmd.add_argument("--general-n", dest="general_n", type=int, default=None)
-    pell_cmd.add_argument("--b-bound", dest="b_bound", type=int, default=64)
+    pell_cmd.add_argument("--b-bound", dest="b_bound", type=int, default=None)
     pell_cmd.set_defaults(handler=_cmd_pell)
 
     search_cmd = sub.add_parser("search", help="exhaustive minimal-term search")

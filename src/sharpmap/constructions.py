@@ -59,11 +59,6 @@ class ReplacementStep:
         diff = Polynomial(2, self.consumed) - Polynomial(2, self.produced)
         return restrict_to_hyperplane(diff).is_zero()
 
-    def validate(self) -> None:
-        """Raise ``AssertionError`` unless the step is neutral on the line."""
-        if not self.is_neutral():
-            raise AssertionError(f"replacement is not neutral on the line: {self}")
-
     def to_json_dict(self) -> dict:
         return {
             "line_identity": self.line_identity,
@@ -74,7 +69,8 @@ class ReplacementStep:
 
 def _rewrite(step: ReplacementStep, label: str) -> Polynomial:
     """Apply ``step`` to f(step.degree); the result must be a new sharp polynomial."""
-    step.validate()
+    if not step.is_neutral():
+        raise AssertionError(f"{label}: replacement is not neutral on the line: {step}")
     d = step.degree
     base = f(d)
     p = base - Polynomial(2, step.consumed) + Polynomial(2, step.produced)

@@ -80,18 +80,21 @@ def _top_pure_term(p: Polynomial) -> tuple[tuple[int, ...], Fraction]:
     return best
 
 
+def _split_top(p: Polynomial, share: Fraction) -> Polynomial:
+    """Multiply ``share`` of the top pure x_n term of p by x_1 + ... + x_n."""
+    exp, c = _top_pure_term(p)
+    part = Polynomial(p.nvars, {exp: c * share})
+    return p - part + part * _s(p.nvars)
+
+
 def W(p: Polynomial) -> Polynomial:
     """Replace the top pure x_n term c x_n^d by c x_n^d (x_1 + ... + x_n)."""
-    exp, c = _top_pure_term(p)
-    mono = Polynomial(p.nvars, {exp: c})
-    return p - mono + mono * _s(p.nvars)
+    return _split_top(p, Fraction(1))
 
 
 def V(p: Polynomial) -> Polynomial:
     """Split the top pure x_n term: keep half, multiply half by x_1 + ... + x_n."""
-    exp, c = _top_pure_term(p)
-    half = Polynomial(p.nvars, {exp: c / 2})
-    return p - half + half * _s(p.nvars)
+    return _split_top(p, Fraction(1, 2))
 
 
 def decompose_target(n: int, N: int) -> tuple[int, int] | None:

@@ -53,7 +53,7 @@ class GeneralizedPellSolution:
         return {"a": str(self.a), "b": str(self.b)}
 
 
-def validate_lambda(lam: int, name: str = "lambda") -> None:
+def check_lambda(lam: int, name: str = "lambda") -> None:
     """Refuse a Pell parameter below 2 or a perfect square; errors call it ``name``."""
     if lam < 2:
         raise ValueError(f"{name} must be at least 2, got {lam}")
@@ -68,7 +68,7 @@ def fundamental_solution(lam: int) -> PellSolution:
     Convergents p/q of sqrt(lam) are generated until p^2 - lam q^2 = 1; the
     first hit is the fundamental solution.
     """
-    validate_lambda(lam)
+    check_lambda(lam)
     a0 = math.isqrt(lam)
     # continued-fraction state for sqrt(lam): value = (sqrt(lam) + m) / d
     m, d, a = 0, 1, a0
@@ -119,7 +119,7 @@ def generalized_solutions(D: int, N: int, b_bound: int) -> list[GeneralizedPellS
         raise ValueError(f"b_bound must be at least 1, got {b_bound}")
     if N == 0:
         raise ValueError("N must be nonzero")
-    validate_lambda(D, "D")
+    check_lambda(D, "D")
     out = []
     for b in range(1, b_bound + 1):
         t = N + D * b * b

@@ -40,10 +40,6 @@ Exponents = tuple[int, ...]
 RationalLike = int | Fraction
 
 
-class UnsupportedArityError(ValueError):
-    """Raised when an operation defined only for two variables gets another arity."""
-
-
 def grlex_key(exp: Exponents) -> tuple[int, Exponents]:
     """Graded lexicographic sort key: total degree first, then the tuple itself."""
     return (sum(exp), exp)
@@ -95,12 +91,12 @@ class Polynomial:
     empty exponent tuple; this arises as the hyperplane restriction of a
     one-variable polynomial.
 
-    The slot ``_restricted`` holds the hyperplane restriction once
-    ``restrict_to_hyperplane`` has computed it; every constructor leaves it
-    ``None``.
+    The slot ``_one_on_hyperplane`` holds the verdict of
+    ``is_one_on_hyperplane`` once it has been computed; every constructor,
+    arithmetic and ``swap_xy`` included, leaves it ``None``.
     """
 
-    __slots__ = ("_nvars", "_terms", "_restricted")
+    __slots__ = ("_nvars", "_terms", "_one_on_hyperplane")
 
     def __init__(self, nvars: int,
                  terms: Mapping[Exponents, RationalLike]
@@ -118,7 +114,7 @@ class Polynomial:
             checked.append((exp, _coerce_coeff(coeff)))
         self._nvars = nvars
         self._terms = _add_terms({}, checked)
-        self._restricted = None
+        self._one_on_hyperplane = None
 
     @classmethod
     def constant(cls, nvars: int, value: RationalLike) -> "Polynomial":
@@ -206,7 +202,7 @@ class Polynomial:
         p = object.__new__(cls)
         p._nvars = nvars
         p._terms = terms
-        p._restricted = None
+        p._one_on_hyperplane = None
         return p
 
     # -- structure ----------------------------------------------------------
@@ -214,7 +210,7 @@ class Polynomial:
     def swap_xy(self) -> "Polynomial":
         """Exchange the two variables; defined only for nvars == 2."""
         if self._nvars != 2:
-            raise UnsupportedArityError("variable swap is defined only for two variables")
+            raise ValueError("variable swap is defined only for two variables")
         return Polynomial._raw(2, {(b, a): c for (a, b), c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -316,13 +312,7 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
     R_e = R_{e+1} (1 - s) + P_e.  R is held dense in x_m.  The cost is E
     times the size of R, so a polynomial with a few terms of very high degree
     in x_n (say x^N + y^N) pays for every exponent of x_n below its top one.
-
-    The restriction is computed once per value: it is kept on ``p``, which is
-    immutable, and later calls (from ``is_one_on_hyperplane`` and
-    ``is_map_polynomial`` too) return it.
     """
-    if p._restricted is not None:
-        return p._restricted
     n = p.nvars
     if n < 1:
         raise ValueError("restriction needs at least one variable")
@@ -333,8 +323,7 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
         slices.setdefault(exp[m], []).append((exp[:m], c.numerator * (den // c.denominator)))
     if m == 0:  # one variable: x_1 = 1
         total = sum(v for terms in slices.values() for _, v in terms)
-        p._restricted = Polynomial._raw(0, {(): Fraction(total, den)} if total else {})
-        return p._restricted
+        return Polynomial._raw(0, {(): Fraction(total, den)} if total else {})
     rows: dict[Exponents, list[int]] = {}
     for e in range(max(slices, default=0), -1, -1):
         rows = _times_one_minus_sum(rows)
@@ -343,10 +332,8 @@ def restrict_to_hyperplane(p: Polynomial) -> Polynomial:
             if len(row) <= head[-1]:
                 row.extend(repeat(0, head[-1] + 1 - len(row)))
             row[head[-1]] += v
-    p._restricted = Polynomial._raw(m, {k + (i,): Fraction(v, den)
-                                        for k, row in rows.items()
-                                        for i, v in enumerate(row) if v})
-    return p._restricted
+    return Polynomial._raw(m, {k + (i,): Fraction(v, den)
+                               for k, row in rows.items() for i, v in enumerate(row) if v})
 
 
 @functools.cache
@@ -373,9 +360,15 @@ def line_columns(degree: int) -> Mapping[tuple[int, int], tuple[int, ...]]:
 
 
 def is_one_on_hyperplane(p: Polynomial) -> bool:
-    """True iff p restricts to the constant 1 on x_1 + ... + x_n = 1."""
-    r = restrict_to_hyperplane(p)
-    return r == Polynomial.constant(r.nvars, 1)
+    """True iff p restricts to the constant 1 on x_1 + ... + x_n = 1.
+
+    The verdict is kept on ``p``, which is immutable, so later calls (from
+    ``is_map_polynomial`` too) do not restrict again; a pickle carries it.
+    """
+    if p._one_on_hyperplane is None:
+        r = restrict_to_hyperplane(p)
+        p._one_on_hyperplane = r == Polynomial.constant(r.nvars, 1)
+    return p._one_on_hyperplane
 
 
 def is_map_polynomial(p: Polynomial) -> bool:
@@ -396,7 +389,7 @@ def signature(p: Polynomial) -> Signature:
 def equivalent(p: Polynomial, q: Polynomial) -> bool:
     """Equality up to exchanging the two variables; only arity 2 is supported."""
     if p.nvars != 2 or q.nvars != 2:
-        raise UnsupportedArityError("equivalence is defined only for two-variable polynomials")
+        raise ValueError("equivalence is defined only for two-variable polynomials")
     return p == q or p == q.swap_xy()
 
 

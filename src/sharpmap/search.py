@@ -66,8 +66,8 @@ from fractions import Fraction
 from itertools import starmap
 
 from .linprog import _extend, _Reduction, _start, max_min_component
-from .polynomial import (Polynomial, assert_term_bound, is_map_polynomial, line_columns,
-                         min_term_count)
+from .polynomial import (Polynomial, assert_term_bound, grlex_key, is_map_polynomial,
+                         line_columns, min_term_count)
 
 Monomial = tuple[int, int]
 
@@ -80,7 +80,7 @@ class Support:
     monomials: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        mons = tuple(sorted(set(self.monomials), key=lambda m: (m[0] + m[1], m)))
+        mons = tuple(sorted(set(self.monomials), key=grlex_key))
         object.__setattr__(self, "monomials", mons)
         if not mons:
             raise ValueError("support must be nonempty")

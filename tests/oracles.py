@@ -139,6 +139,15 @@ def restrict_by_terms(p: Polynomial) -> Polynomial:
     return Polynomial(m, {k: Fraction(v, den) for k, v in out.items() if v})
 
 
+def compose(a: Polynomial, term: tuple[tuple[int, ...], Fraction], b: Polynomial) -> Polynomial:
+    """A - c·m + c·m·B for the term c·m of A: B substituted into that one term.
+
+    B is 1 on the hyperplane, so the result is too, with degree deg m + deg B.
+    """
+    part = Polynomial(a.nvars, [term])
+    return a - part + part * b
+
+
 def sympy_h_term_count(m: int) -> int:
     """Brute-force expansion of the subtraction construction at index m.
 

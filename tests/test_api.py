@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "Support",
     "T",
     "UniquenessResult",
-    "UnsupportedArityError",
     "V",
     "W",
     "append_negative",

@@ -173,6 +173,26 @@ class TestPell:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {option} must ")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--general-d", "8", "--general-n", "-7", "--count", "3"), "--count"),
+        (("--general-d", "8", "--general-n", "-7", "--lambda", "5"), "--lambda"),
+        (("--b-bound", "3", "--count", "2"), "--b-bound"),
+    ])
+    def test_flag_of_the_other_mode_is_refused(self, capsys, argv, flag):
+        code = cli.main(["pell", *argv])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
+        assert "--general-d" in lines[0]
+
+    def test_unset_flags_echo_their_defaults(self, capsys):
+        _, report = run(capsys, "pell")
+        assert report["inputs"] == {"lambda": 12, "count": 5}
+        _, report = run(capsys, "pell", "--general-d", "8", "--general-n", "-7")
+        assert report["inputs"] == {"D": 8, "N": -7, "b_bound": 64}
+
 
 class TestSearch:
     def test_degree_3_unique(self, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from sharpmap import constructions
 from sharpmap import (
     Polynomial,
     equivalent,
@@ -27,9 +28,11 @@ from sharpmap import (
     ratio4_sites,
     restrict_to_hyperplane,
     solution_at,
+    uniqueness_status,
 )
+from sharpmap.polynomial import min_term_count
 
-from .oracles import sympy_h_term_count
+from .oracles import compose, sympy_h_term_count
 
 Q7_EXPECTED = Polynomial(2, {(7, 0): 1, (3, 1): 7, (3, 3): 7, (1, 3): 7, (0, 7): 1})
 MOD6_1_EXPECTED = Polynomial(2, {(7, 0): 1, (5, 1): Fraction(7, 2), (1, 1): Fraction(7, 2),
@@ -107,8 +110,8 @@ class TestRewrite:
         _, step = q_with_trace(7)
         broken = dataclasses.replace(step, produced=step.produced[:1])
         assert not broken.is_neutral()
-        with pytest.raises(AssertionError):
-            broken.validate()
+        with pytest.raises(AssertionError, match="not neutral on the line"):
+            constructions._rewrite(broken, "q")
 
 
 class TestH:
@@ -248,3 +251,18 @@ class TestRatio4:
             ratio4_construct(5, 2)
         with pytest.raises(ValueError):
             ratio4_construct(4, 1)
+
+
+class TestComposition:
+    @pytest.mark.parametrize("degree, count", [(4, 4), (6, 10), (8, 24)])
+    def test_even_certificates_are_compositions_of_odd_ones(self, degree, count):
+        # A and B from the odd certificates, c·m a top-degree term of A
+        odd = {d: uniqueness_status(d).distinct_polynomials for d in range(1, degree, 2)}
+        composed = {compose(a, term, b)
+                    for d in odd for a in odd[d] for b in odd[degree - d]
+                    for term in a.terms.items() if sum(term[0]) == d}
+        for p in composed:
+            assert is_map_polynomial(p)
+            assert p.degree() == degree and p.term_count() == min_term_count(degree)
+        assert composed == set(uniqueness_status(degree).distinct_polynomials)
+        assert len(composed) == count

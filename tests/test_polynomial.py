@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sharpmap import (
     Polynomial,
     Signature,
-    UnsupportedArityError,
     check_sphere_numeric,
     equivalent,
     f,
@@ -130,7 +129,7 @@ class TestRestriction:
     @example(Polynomial(3))
     @example(CANCELS)
     def test_matches_per_term_expansion(self, p):
-        ours = restrict_to_hyperplane(Polynomial(p.nvars, p.terms))  # no kept restriction
+        ours = restrict_to_hyperplane(p)
         expected = restrict_by_terms(p)
         assert ours.nvars == expected.nvars
         assert dict(ours.terms) == dict(expected.terms)
@@ -175,19 +174,24 @@ class TestRestriction:
             restrict_to_hyperplane(p) + restrict_to_hyperplane(r)
         assert restrict_to_hyperplane(p * c) == restrict_to_hyperplane(p) * c
 
-    def test_kept_restriction_is_never_stale(self):
+    def test_kept_verdict_is_never_stale(self):
+        # p keeps the verdict true; every value built from it must decide afresh
+        p = Polynomial(2, f(7).terms)
+        assert is_one_on_hyperplane(p)
         rng = random.Random(5)
-        p = random_polynomial(rng, 2, max_terms=6) + Polynomial(2, {(3, 1): Fraction(2, 3)})
         r = random_polynomial(rng, 2, max_terms=6) + Polynomial(2, {(0, 2): Fraction(-1, 5)})
-        first = restrict_to_hyperplane(p)
-        restrict_to_hyperplane(r)
-        for value in (p + r, p - r, 2 * p, -p, p * r, p.swap_xy()):
-            ours = restrict_to_hyperplane(value)
-            assert sympy.expand(to_sympy(ours) - sympy_restriction(value)) == 0
-        assert restrict_to_hyperplane(p) == first
-        assert sympy.expand(to_sympy(first) - sympy_restriction(p)) == 0
+        twice = 2 * p
+        assert not is_one_on_hyperplane(twice)  # a kept false verdict, undone below
+        values = (twice, -p, p - r, p + r, p * r, p * p, p.swap_xy(),
+                  twice * Fraction(1, 2), twice - p)
+        for value in values:
+            expected = sympy.expand(sympy_restriction(value) - 1) == 0
+            assert is_one_on_hyperplane(value) == expected
+        assert [is_one_on_hyperplane(v) for v in values] == \
+            [False, False, False, False, False, True, True, True, True]
+        assert is_one_on_hyperplane(p)
 
-    def test_pickled_witness_restricts_the_same(self):
+    def test_pickled_witness_restricts_the_same(self, monkeypatch):
         # shard workers send their witnesses back to the parent by pickling
         checked = gap_witness(4, 12)
         assert is_map_polynomial(checked.poly)
@@ -198,6 +202,12 @@ class TestRestriction:
             assert sympy.expand(to_sympy(restrict_to_hyperplane(back.poly))
                                 - sympy_restriction(witness.poly)) == 0
             assert is_map_polynomial(back.poly)
+        # the verdict kept by the worker travels with the pickle: no restriction here
+        back = pickle.loads(pickle.dumps(checked))
+        calls = []
+        monkeypatch.setattr(polynomial, "restrict_to_hyperplane", calls.append)
+        assert is_one_on_hyperplane(back.poly) and is_map_polynomial(back.poly)
+        assert calls == []
 
 
 class TestMembership:
@@ -220,6 +230,19 @@ class TestMembership:
 
     def test_zero_polynomial(self):
         assert not is_map_polynomial(Polynomial(2))
+
+    def test_verdict_is_kept_and_restriction_is_not(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return restrict_by_terms(p)
+
+        p = Polynomial(2, f(7).terms)
+        restrict_to_hyperplane(p)  # pure: keeps nothing on p
+        monkeypatch.setattr(polynomial, "restrict_to_hyperplane", counted)
+        assert is_one_on_hyperplane(p) and is_one_on_hyperplane(p) and is_map_polynomial(p)
+        assert calls == [p]
 
     def test_membership_restriction_has_single_term(self):
         for p in (F3, X_PLUS_Y, f(9)):
@@ -253,7 +276,7 @@ class TestEquivalence:
 
     def test_rejects_other_arities(self):
         p3 = Polynomial(3, {(1, 0, 0): 1})
-        with pytest.raises(UnsupportedArityError):
+        with pytest.raises(ValueError, match="only for two-variable polynomials"):
             equivalent(p3, p3)
 
     def test_equivalence_relation_on_random_inputs(self):
