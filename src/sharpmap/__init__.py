@@ -9,6 +9,8 @@ numeric cross-check of the sphere identity.
 
 from .constructions import (
     ReplacementStep,
+    even_family,
+    even_u,
     h,
     h_coeff_closed,
     h_coeff_inequality_holds,
@@ -25,8 +27,6 @@ from .constructions import (
 )
 from .families import (
     coefficient_ratio,
-    even_family,
-    even_u,
     f,
     f_coefficient,
 )

@@ -65,7 +65,10 @@ class Report:
             "assertions": self.assertions,
             "timing_seconds": round(time.monotonic() - self._start, 3),
         }
-        print(json.dumps(body, indent=2))
+        try:
+            print(json.dumps(body, indent=2), flush=True)
+        except BrokenPipeError:  # the reader left early; the flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK if all(a["passed"] for a in self.assertions) else EXIT_ASSERTION
 
 
@@ -118,7 +121,7 @@ def _cmd_family(args) -> int:
                          p.term_count() == expected)
         return report.emit()
     report = Report("family even", {"k": args.k})
-    members = families.even_family(args.k)
+    members = constructions.even_family(args.k)
     report.outputs["polys"] = [p.to_json_dict() for p in members]
     report.check(f"{args.k} members produced", len(members) == args.k)
     report.check("every member is a map polynomial of degree 2k",
@@ -132,19 +135,21 @@ def _cmd_family(args) -> int:
     return report.emit()
 
 
+# kind -> (its builder's name in ``constructions``, its int flags in argument order, help);
+# the name is looked up at each call, so a builder patched on the module is the one called
+_CONSTRUCT_KINDS = {
+    "q": ("q_with_trace", ("degree",), "ratio-2 rewrite at a Pell degree"),
+    "h": ("h_with_trace", ("m",), "degree 4m-1 subtraction construction"),
+    "mod6": ("mod6_with_trace", ("k",), "degree 6k+1 quartic rewrite"),
+    "ratio4": ("ratio4_construct_with_trace", ("r", "s"), "quartic rewrite at a ratio-4 site"),
+}
+
+
 def _cmd_construct(args) -> int:
-    if args.kind == "q":
-        report = Report("construct q", {"degree": args.degree})
-        poly, step = constructions.q_with_trace(args.degree)
-    elif args.kind == "h":
-        report = Report("construct h", {"m": args.m})
-        poly, step = constructions.h_with_trace(args.m)
-    elif args.kind == "mod6":
-        report = Report("construct mod6", {"k": args.k})
-        poly, step = constructions.mod6_with_trace(args.k)
-    else:
-        report = Report("construct ratio4", {"r": args.r, "s": args.s})
-        poly, step = constructions.ratio4_construct_with_trace(args.r, args.s)
+    builder, flags, _ = _CONSTRUCT_KINDS[args.kind]
+    inputs = {flag: getattr(args, flag) for flag in flags}
+    report = Report(f"construct {args.kind}", inputs)
+    poly, step = getattr(constructions, builder)(*inputs.values())
     d = step.degree
     report.outputs["poly"] = poly.to_json_dict()
     report.outputs["replacement"] = step.to_json_dict()
@@ -339,15 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     construct = sub.add_parser("construct", help="run a replacement construction")
     construct_sub = construct.add_subparsers(dest="kind", required=True)
-    c_q = construct_sub.add_parser("q", help="ratio-2 rewrite at a Pell degree")
-    c_q.add_argument("--degree", type=int, required=True)
-    c_h = construct_sub.add_parser("h", help="degree 4m-1 subtraction construction")
-    c_h.add_argument("--m", type=int, required=True)
-    c_m = construct_sub.add_parser("mod6", help="degree 6k+1 quartic rewrite")
-    c_m.add_argument("--k", type=int, required=True)
-    c_r = construct_sub.add_parser("ratio4", help="quartic rewrite at a ratio-4 site")
-    c_r.add_argument("--r", type=int, required=True)
-    c_r.add_argument("--s", type=int, required=True)
+    for kind, (_, flags, help_text) in _CONSTRUCT_KINDS.items():
+        kind_parser = construct_sub.add_parser(kind, help=help_text)
+        for flag in flags:
+            kind_parser.add_argument(f"--{flag}", type=int, required=True)
     construct.set_defaults(handler=_cmd_construct)
 
     pell_cmd = sub.add_parser("pell", help="Pell equation solutions")

@@ -1,7 +1,7 @@
-"""Constructions of sharp polynomials inequivalent to the f(d) family.
+"""Sharp polynomials inequivalent to the f(d) family, each one rewrite of a base.
 
-All four constructions rewrite a block of consecutive terms of f(d) using
-an identity that holds on the line x + y = 1:
+Every construction adds to a sharp base polynomial a change that vanishes
+on the line x + y = 1.  The four odd ones rewrite f(d):
 
   * ``q(d)``      uses x^2 + 2y = 1 + y^2 at a site where consecutive
                   coefficients of f(d) have ratio exactly 2; such sites
@@ -13,11 +13,14 @@ an identity that holds on the line x + y = 1:
   * ``h(m)``      subtracts (4m-1) x^(2m-1) y (f(2m-2) - 1), which vanishes
                   on the line, from f(4m-1); covers every degree 3 mod 4.
 
-Every construction is data for one rewrite routine: it records the degree d
-and the consumed and produced terms in a ``ReplacementStep``, whose defining
-invariant (the difference vanishes on the line) is verified exactly.  The
-routine applies the step to f(d) and asserts membership, degree, the sharp
-term count (d+3)/2 and inequivalence to f(d) before returning.
+``even_u`` and ``even_family`` give minimal-term examples in even degree by
+splicing one odd-degree family member into another.
+
+Every construction is data for one rewrite routine: it records the degree
+of the result and the consumed and produced terms in a ``ReplacementStep``,
+whose defining invariant (the difference vanishes on the line) is verified
+exactly.  The routine applies the step to the base it is given and asserts
+membership, degree, the sharp term count and inequivalence to the base.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ IDENTITY_QUARTIC = "x^4 + 4x^2y + 2y^2 = 1 + y^4 on x+y=1"
 
 @dataclass(frozen=True)
 class ReplacementStep:
-    """Record of one rewrite of f(degree): terms removed, terms added, identity used.
+    """Record of one rewrite of a base: terms removed, terms added, identity used.
 
-    ``degree`` names the family member rewritten; the JSON record omits it.
+    ``degree`` is the degree of the result; the JSON record omits it.
     """
 
     consumed: TermList
@@ -67,12 +70,11 @@ class ReplacementStep:
         }
 
 
-def _rewrite(step: ReplacementStep, label: str) -> Polynomial:
-    """Apply ``step`` to f(step.degree); the result must be a new sharp polynomial."""
+def _rewrite(base: Polynomial, step: ReplacementStep, label: str) -> Polynomial:
+    """Apply the neutral ``step`` to ``base``; assert a new sharp polynomial of its degree."""
     if not step.is_neutral():
         raise AssertionError(f"{label}: replacement is not neutral on the line: {step}")
     d = step.degree
-    base = f(d)
     p = base - Polynomial(2, step.consumed) + Polynomial(2, step.produced)
     if not is_map_polynomial(p):
         raise AssertionError(f"{label}: output has a negative coefficient or is not 1 on the line")
@@ -81,8 +83,15 @@ def _rewrite(step: ReplacementStep, label: str) -> Polynomial:
     if p.term_count() != min_term_count(d):
         raise AssertionError(f"{label}: {p.term_count()} terms, expected {min_term_count(d)}")
     if equivalent(p, base):
-        raise AssertionError(f"{label}: output is equivalent to f({d})")
+        raise AssertionError(f"{label}: output is equivalent to its base")
     return p
+
+
+def _step_adding(delta: Polynomial, line_identity: str, degree: int) -> ReplacementStep:
+    """The step that adds ``delta``: its negative terms consumed, its positive ones produced."""
+    terms = delta.canonical_terms()
+    return ReplacementStep(tuple((e, -c) for e, c in terms if c < 0),
+                           tuple((e, c) for e, c in terms if c > 0), line_identity, degree)
 
 
 # -- ratio-2 sites and q(d) ----------------------------------------------------
@@ -133,7 +142,7 @@ def q_with_trace(d: int) -> tuple[Polynomial, ReplacementStep]:
         line_identity=IDENTITY_QUADRATIC,
         degree=d,
     )
-    return _rewrite(step, f"q({d})"), step
+    return _rewrite(f(d), step, f"q({d})"), step
 
 
 def q(d: int) -> Polynomial:
@@ -153,13 +162,9 @@ def h_with_trace(m: int) -> tuple[Polynomial, ReplacementStep]:
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
     multiplier = Polynomial(2, {(2 * m - 1, 1): 4 * m - 1})
-    delta = multiplier * (f(2 * m - 2) - Polynomial.constant(2, 1))
-    consumed = tuple((e, c) for e, c in delta.canonical_terms() if c > 0)
-    produced = tuple((e, -c) for e, c in delta.canonical_terms() if c < 0)
-    step = ReplacementStep(consumed, produced,
-                           line_identity=f"f({2 * m - 2}) = 1 on x+y=1",
-                           degree=4 * m - 1)
-    result = _rewrite(step, f"h({m})")
+    step = _step_adding(multiplier * (Polynomial.constant(2, 1) - f(2 * m - 2)),
+                        f"f({2 * m - 2}) = 1 on x+y=1", 4 * m - 1)
+    result = _rewrite(f(4 * m - 1), step, f"h({m})")
     for exp in ((4 * m - 3, 1), (4 * m - 5, 2)):
         if result.coefficient(exp) != 0:
             raise AssertionError(f"h({m}): coefficient at {exp} did not cancel")
@@ -181,12 +186,15 @@ def h(m: int) -> Polynomial:
 # which is what makes h(m) a map polynomial.
 
 
+def _check_h_index(m: int, s: int) -> None:
+    """Refuse an (m, s) outside m >= 2, 1 <= s <= 2m-1, where C_s is defined."""
+    if m < 2 or not 1 <= s <= 2 * m - 1:
+        raise ValueError(f"need m >= 2 and 1 <= s <= 2m-1, got m={m}, s={s}")
+
+
 def h_coeff_closed(m: int, s: int) -> int:
     """Closed form for C_s = 2^(4m-1) c_s; valid for 1 <= s <= 2m-1."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if not 1 <= s <= 2 * m - 1:
-        raise ValueError(f"s must satisfy 1 <= s <= 2m-1, got {s}")
+    _check_h_index(m, s)
     first = Fraction(math.factorial(4 * m - s - 2),
                      math.factorial(4 * m - 2 * s - 1) * math.factorial(s))
     if 2 * m - 2 * s >= 0:
@@ -203,10 +211,7 @@ def h_coeff_closed(m: int, s: int) -> int:
 
 def h_coeff_sum(m: int, s: int) -> int:
     """Binomial double-sum evaluation of the same C_s; must agree with the closed form."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if not 1 <= s <= 2 * m - 1:
-        raise ValueError(f"s must satisfy 1 <= s <= 2m-1, got {s}")
+    _check_h_index(m, s)
     comb = math.comb
     first = sum(comb(4 * m - 1, 2 * j) * comb(j, s) for j in range(s, 2 * m)) * 4 ** s
     second = sum(comb(2 * m - 2, 2 * l) * comb(l, s - 1)
@@ -260,7 +265,7 @@ def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
         line_identity=IDENTITY_QUARTIC,
         degree=6 * k + 1,
     )
-    return _rewrite(step, f"mod6({k})"), step
+    return _rewrite(f(6 * k + 1), step, f"mod6({k})"), step
 
 
 def mod6(k: int) -> Polynomial:
@@ -314,9 +319,6 @@ def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, Replacement
     excess = ks2 - 2 * ks
     if excess < 0:
         raise ValueError(f"invalid site ({r},{s}): K(r,s+2) < 2 K(r,s)")
-    if excess == 0:
-        # would yield r+1 terms, contradicting the sharp bound (d+3)/2
-        raise AssertionError(f"site ({r},{s}) has exact excess zero")
     a = 2 * r + 1 - 2 * s
     step = ReplacementStep(
         consumed=(((a, s), ks), ((a - 2, s + 1), 4 * ks), ((a - 4, s + 2), ks2)),
@@ -324,8 +326,41 @@ def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, Replacement
         line_identity=IDENTITY_QUARTIC,
         degree=2 * r + 1,
     )
-    return _rewrite(step, f"ratio4({r},{s})"), step
+    return _rewrite(f(2 * r + 1), step, f"ratio4({r},{s})"), step
 
 
 def ratio4_construct(r: int, s: int) -> Polynomial:
     return ratio4_construct_with_trace(r, s)[0]
+
+
+# -- even degrees: one odd family member spliced into another -------------------
+
+
+def even_u(j: int, l: int) -> Polynomial:
+    """Even-degree minimal-term example (f_{2j+1} - m) + m * f_{2l+1}.
+
+    ``m`` is the removed top monomial x^(2j+1).  The result has degree
+    2(j+l+1) and exactly j+l+3 terms.
+    """
+    if j < 0 or l < 0:
+        raise ValueError("j and l must be nonnegative")
+    m = Polynomial(2, {(2 * j + 1, 0): 1})  # the leading term of f_{2j+1}
+    step = _step_adding(m * f(2 * l + 1) - m, f"f({2 * l + 1}) = 1 on x+y=1", 2 * (j + l + 1))
+    return _rewrite(f(2 * j + 1), step, f"even_u({j},{l})")
+
+
+def even_family(k: int) -> list[Polynomial]:
+    """k pairwise-inequivalent minimal-term members of degree 2k.
+
+    Varies j = 0..k-1 with l = k-1-j in ``even_u``; each output has k+2
+    terms.  Inequivalence holds because the minimal total degree of a
+    monomial in the j-th member is j+1, which the variable swap preserves.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    out = [even_u(j, k - 1 - j) for j in range(k)]
+    for i in range(len(out)):
+        for jj in range(i + 1, len(out)):
+            if equivalent(out[i], out[jj]):
+                raise AssertionError(f"even family members {i} and {jj} are equivalent")
+    return out

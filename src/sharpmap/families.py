@@ -19,9 +19,6 @@ monomials, which attains the minimal possible term count for that degree.
 The coefficient of x^(2r+1-2s) y^s is Waring's coefficient at d = 2r + 1,
 
     K(r, s) = (2r+1)/(2r+1-s) * C(2r+1-s, s) = (2r+1)/s * C(2r-s, s-1).
-
-``even_u`` and ``even_family`` give minimal-term examples in even degree by
-splicing one odd-degree family member into another.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomial import Polynomial, equivalent, is_map_polynomial
+from .polynomial import Polynomial
 
 
 def _waring_coefficient(d: int, s: int) -> int:
@@ -72,37 +69,3 @@ def coefficient_ratio(r: int, s: int) -> Fraction:
     if ratio != closed:
         raise AssertionError(f"coefficient ratio mismatch at ({r},{s}): {ratio} vs {closed}")
     return ratio
-
-
-def even_u(j: int, l: int) -> Polynomial:
-    """Even-degree minimal-term example (f_{2j+1} - m) + m * f_{2l+1}.
-
-    ``m`` is the removed top monomial x^(2j+1).  The result has degree
-    2(j+l+1) and exactly j+l+3 terms.
-    """
-    if j < 0 or l < 0:
-        raise ValueError("j and l must be nonnegative")
-    m = Polynomial(2, {(2 * j + 1, 0): 1})  # the leading term of f_{2j+1}
-    u = (f(2 * j + 1) - m) + m * f(2 * l + 1)
-    expected_terms = j + l + 3
-    if not (u.degree() == 2 * (j + l + 1) and u.term_count() == expected_terms
-            and is_map_polynomial(u)):
-        raise AssertionError(f"even-degree construction failed at j={j}, l={l}")
-    return u
-
-
-def even_family(k: int) -> list[Polynomial]:
-    """k pairwise-inequivalent minimal-term members of degree 2k.
-
-    Varies j = 0..k-1 with l = k-1-j in ``even_u``; each output has k+2
-    terms.  Inequivalence holds because the minimal total degree of a
-    monomial in the j-th member is j+1, which the variable swap preserves.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = [even_u(j, k - 1 - j) for j in range(k)]
-    for i in range(len(out)):
-        for jj in range(i + 1, len(out)):
-            if equivalent(out[i], out[jj]):
-                raise AssertionError(f"even family members {i} and {jj} are equivalent")
-    return out

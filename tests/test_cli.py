@@ -471,3 +471,14 @@ class TestEntryPoint:
             assert len(proc.stderr.splitlines()) == 1
         else:
             assert json.loads(proc.stdout)["assertions"]
+
+    def test_reader_that_leaves_early_keeps_the_exit_code(self):
+        # the report (about 210 kB) outgrows the pipe, so the write meets the closed pipe
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        with subprocess.Popen([sys.executable, "-m", "sharpmap", "pell", "--count", "400"],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == cli.EXIT_OK
+        assert stderr == b""

@@ -11,6 +11,8 @@ from sharpmap import constructions
 from sharpmap import (
     Polynomial,
     equivalent,
+    even_family,
+    even_u,
     f,
     h,
     h_coeff_closed,
@@ -111,7 +113,27 @@ class TestRewrite:
         broken = dataclasses.replace(step, produced=step.produced[:1])
         assert not broken.is_neutral()
         with pytest.raises(AssertionError, match="not neutral on the line"):
-            constructions._rewrite(broken, "q")
+            constructions._rewrite(f(7), broken, "q")
+
+    def test_every_even_splice_goes_through_the_rewrite(self, monkeypatch):
+        bases = []
+        rewrite = constructions._rewrite
+
+        def recording(base, step, label):
+            bases.append(base)
+            return rewrite(base, step, label)
+
+        monkeypatch.setattr(constructions, "_rewrite", recording)
+        assert len(even_family(4)) == 4
+        assert bases == [f(1), f(3), f(5), f(7)]
+
+    def test_step_that_is_not_neutral_is_rejected_from_any_base(self):
+        # adds x^3 (2 f(3) - 1), which is x^3, not 0, on the line
+        m = Polynomial(2, {(3, 0): 1})
+        step = constructions._step_adding(m * f(3) * 2 - m, "none", 6)
+        assert not step.is_neutral()
+        with pytest.raises(AssertionError, match="not neutral on the line"):
+            constructions._rewrite(f(3), step, "x^3 (2 f(3) - 1)")
 
 
 class TestH:
@@ -266,3 +288,10 @@ class TestComposition:
             assert p.degree() == degree and p.term_count() == min_term_count(degree)
         assert composed == set(uniqueness_status(degree).distinct_polynomials)
         assert len(composed) == count
+
+
+class TestEvenSplice:
+    @pytest.mark.parametrize("j", range(5))
+    @pytest.mark.parametrize("l", range(5))
+    def test_splice_is_the_composition(self, j, l):
+        assert even_u(j, l) == compose(f(2 * j + 1), ((2 * j + 1, 0), 1), f(2 * l + 1))
