@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import coefficient_ratio, f, f_coefficient
+from .pell import generalized_solutions
 from .polynomial import (
     Polynomial,
     equivalent,
@@ -116,8 +117,6 @@ def pell_ratio_site(d: int) -> int | None:
     if 12 * k * k != t:
         return None
     s = r - k
-    if not 0 < s < r:
-        return None
     if coefficient_ratio(r, s) != 2:
         raise AssertionError(f"ratio at claimed site ({r},{s}) is not 2")
     return s
@@ -278,23 +277,17 @@ def mod6(k: int) -> Polynomial:
 def ratio4_sites(r_bound: int) -> list[tuple[int, int]]:
     """All (r, s) with r <= r_bound where K(r,s+1) = 4 K(r,s) and K(r,s+2) >= 2 K(r,s).
 
-    The ratio-4 condition solves to s = (8r - 1 - sqrt(32r^2 + 32r + 1)) / 8,
-    so sites require 32r^2 + 32r + 1 to be an odd square congruent to
-    -1 mod 8 -- equivalently a^2 - 8 b^2 = -7 with b = 2r+1 and a = 8(r-s)-1.
+    The ratio-4 condition solves to s = (8r - 1 - sqrt(32r^2 + 32r + 1)) / 8.
+    With b = 2r+1 and a = 8(r-s)-1 that is a^2 - 8 b^2 = -7, so the sites are
+    the solutions from ``generalized_solutions`` with b odd and a = 7 mod 8.
     """
     if r_bound < 1:
         raise ValueError("r_bound must be positive")
     sites = []
-    for r in range(1, r_bound + 1):
-        disc = 32 * r * r + 32 * r + 1
-        root = math.isqrt(disc)
-        if root * root != disc:
-            continue
-        num = 8 * r - 1 - root
-        if num % 8:
-            continue
-        s = num // 8
-        if not 1 <= s <= r - 2:
+    for sol in generalized_solutions(8, -7, 2 * r_bound + 1):
+        r = sol.b // 2
+        s = r - (sol.a + 1) // 8
+        if sol.b % 2 == 0 or sol.a % 8 != 7 or not 1 <= s <= r - 2:
             continue
         if coefficient_ratio(r, s) != 4:
             raise AssertionError(f"closed-form site ({r},{s}) does not have ratio 4")

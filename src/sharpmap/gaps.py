@@ -100,20 +100,15 @@ def V(p: Polynomial) -> Polynomial:
 def decompose_target(n: int, N: int) -> tuple[int, int] | None:
     """Nonnegative (j, k) with j(n-1) + kn = N - n and j minimal, or None.
 
-    None is returned exactly when N - n is not a nonnegative combination of
-    n-1 and n, so that no V^k W^j s has N terms; this can only happen for
-    N < T(n).  It does not mean that no N-term map polynomial exists.
+    As n-1 = -1 mod n, j = -N mod n is the least j leaving a multiple of n,
+    and larger ones leave less; None (no V^k W^j s has N terms) can only
+    happen for N < T(n) and does not rule out other N-term map polynomials.
     """
     if n < 2:
         raise ValueError("decomposition needs n >= 2")
-    if N < n:
-        return None
-    target = N - n
-    for j in range(target // (n - 1) + 1):
-        rest = target - j * (n - 1)
-        if rest % n == 0:
-            return j, rest // n
-    return None
+    j = -N % n
+    rest = N - n - j * (n - 1)
+    return (j, rest // n) if rest >= 0 else None
 
 
 @dataclass(frozen=True)

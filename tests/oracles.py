@@ -4,23 +4,27 @@ Each oracle deliberately takes a different computational route from the
 library code it checks: radical/binomial expansions instead of recurrences,
 the defining recurrence instead of a closed form, brute-force scans instead
 of continued fractions, sympy instead of the in-package arithmetic,
-whole-system elimination instead of column-by-column reduction, and a
-filter over every combination instead of a pruned depth-first walk.
+whole-system elimination instead of column-by-column reduction, the
+basis x^k y^(d-k) instead of powers of x, and a filter over every
+combination instead of a pruned depth-first walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
 import time
 from fractions import Fraction
+from types import MappingProxyType
 
 import sympy
 
 from sharpmap import Polynomial
 from sharpmap import search
+from sharpmap.polynomial import line_columns
 from sharpmap.search import SharpWitness, Support, monomial_universe, solve_support_system
 
 
@@ -137,6 +141,22 @@ def restrict_by_terms(p: Polynomial) -> Polynomial:
             key = tuple(map(operator.add, head, k))
             out[key] = out.get(key, 0) + scaled * v
     return Polynomial(m, {k: Fraction(v, den) for k, v in out.items() if v})
+
+
+@functools.cache
+def homogenized_columns(degree: int):
+    """``line_columns(degree)`` in the basis x^k y^(degree-k), k = 0..degree.
+
+    On x + y = 1, x^a y^b equals x^a y^b (x + y)^(degree-a-b), whose
+    coefficient of x^k y^(degree-k) is C(degree-a-b, k-a) for
+    a <= k <= degree-b and 0 otherwise.  The two tables differ by an
+    invertible change of basis, so every support has the same solutions in
+    both.  Same keys in the same order; cached, as the search reads the
+    table on every solve.
+    """
+    return MappingProxyType({(a, b): tuple(math.comb(degree - a - b, k - a) if k >= a else 0
+                                           for k in range(degree + 1))
+                             for a, b in line_columns(degree)})
 
 
 def compose(a: Polynomial, term: tuple[tuple[int, ...], Fraction], b: Polynomial) -> Polynomial:

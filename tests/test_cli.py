@@ -429,6 +429,28 @@ class TestReportContract:
             assert report["assertions"]
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("gaps", "table", "--n", "1", "--to", "3"), cli.EXIT_USAGE),
+    (("gaps", "witness", "--n", "0", "--N", "3"), cli.EXIT_USAGE),
+    (("signature", "--recipe", "two_minus_s", "--n", "0"), cli.EXIT_USAGE),
+    (("signature", "--recipe", "f_odd", "--r", "0"), cli.EXIT_USAGE),
+    (("signature", "--recipe", "two_minus_f_odd", "--r", "0"), cli.EXIT_USAGE),
+    (("family", "even", "--k", "0"), cli.EXIT_USAGE),
+    # N + D b^2 <= 0 for every b: no solution, which is not an error
+    (("pell", "--general-d", "2", "--general-n", "-100", "--b-bound", "3"), cli.EXIT_OK),
+    # refused by the O(1) site check, without scanning up to r
+    (("construct", "ratio4", "--r", "1000000000", "--s", "1"), cli.EXIT_USAGE),
+])
+def test_exit_code_contract_at_the_edges(capsys, argv, expected):
+    assert cli.main(list(argv)) == expected
+    captured = capsys.readouterr()
+    if expected == cli.EXIT_USAGE:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    else:
+        assert json.loads(captured.out)["outputs"]["solutions"] == []
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert cli.build_parser() is cli.build_parser()
@@ -471,6 +493,16 @@ class TestEntryPoint:
             assert len(proc.stderr.splitlines()) == 1
         else:
             assert json.loads(proc.stdout)["assertions"]
+
+    @pytest.mark.parametrize("module", ["sharpmap", "sharpmap.cli"])
+    def test_module_prints_the_report_of_main(self, capsys, module):
+        argv = ("family", "f", "--degree", "3")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert cli.main(list(argv)) == cli.EXIT_OK
+        assert report_digest(proc.stdout) == report_digest(capsys.readouterr().out)
 
     def test_reader_that_leaves_early_keeps_the_exit_code(self):
         # the report (about 210 kB) outgrows the pipe, so the write meets the closed pipe

@@ -249,6 +249,17 @@ class TestRatio4:
                   and f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s)]
         assert ratio4_sites(60) == direct
 
+    def test_sites_are_the_pell_solutions_up_to_10000(self):
+        # degrees 11, 373 and 12,671
+        assert ratio4_sites(10_000) == [(5, 1), (186, 54), (6335, 1855)]
+
+    def test_degree_373_has_three_classes(self):
+        p = ratio4_construct(186, 54)
+        assert is_map_polynomial(p)
+        assert p.degree() == 373 and p.term_count() == 188
+        assert not equivalent(p, f(373))
+        assert not equivalent(p, mod6(62))
+
     def test_site_values_match_f11(self):
         from sharpmap import f_coefficient
         assert (f_coefficient(5, 1), f_coefficient(5, 2), f_coefficient(5, 3)) == (11, 44, 77)

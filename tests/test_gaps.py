@@ -104,6 +104,16 @@ class TestDecomposition:
         # N - n = 12 for n = 4: j=0, k=3 beats j=4, k=0
         assert decompose_target(4, 16) == (0, 3)
 
+    def test_matches_brute_force(self):
+        # the least (j, k) for every value j(n-1) + kn up to 200 - n, N < n included
+        for n in range(2, 13):
+            least = {}
+            for j in range(201):
+                for k in range(201):
+                    least.setdefault(j * (n - 1) + k * n, (j, k))
+            for N in range(-2, 201):
+                assert decompose_target(n, N) == least.get(N - n), (n, N)
+
     def test_everything_above_threshold_is_representable(self):
         for n in range(2, 8):
             for N in range(T(n), T(n) + 3 * n):

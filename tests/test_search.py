@@ -42,7 +42,8 @@ from sharpmap.search import (
     solve_support_system,
 )
 
-from .oracles import enumerate_naive, max_min_by_vertices, search_block_by_combinations
+from .oracles import (enumerate_naive, homogenized_columns, max_min_by_vertices,
+                      search_block_by_combinations)
 
 
 @pytest.fixture
@@ -597,3 +598,33 @@ class TestUniqueness:
         # a first index taken after the deadline does no work; enumerating
         # the pruned candidates of every later index takes seconds at d = 9
         assert time.monotonic() - start < 3
+
+
+class TestSecondEngine:
+    """The search over the homogenized table (Bernstein basis) gives the same results."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        plain = run()
+        monkeypatch.setattr(search, "line_columns", homogenized_columns)
+        return plain, run()
+
+    @staticmethod
+    def witnesses(ws):
+        return [(w.support, w.freedom, w.polynomial) for w in ws]
+
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_uniqueness_status(self, monkeypatch, degree):
+        plain, other = self.both(monkeypatch, lambda: uniqueness_status(degree))
+        assert other.status == plain.status
+        assert self.witnesses(other.certificate.witnesses) == \
+            self.witnesses(plain.certificate.witnesses)
+        assert (other.certificate.stats.examined, other.certificate.stats.pruned) == \
+            (plain.certificate.stats.examined, plain.certificate.stats.pruned)
+
+    @pytest.mark.parametrize("degree, terms", [(4, 5), (6, 6)])
+    def test_enumeration_with_polytopes(self, monkeypatch, degree, terms):
+        plain, other = self.both(monkeypatch, lambda: enumerate_sharp(degree, terms))
+        assert any(w.freedom > 0 for w in plain[0])
+        assert self.witnesses(other[0]) == self.witnesses(plain[0])
+        assert other[2].examined == plain[2].examined
