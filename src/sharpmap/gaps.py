@@ -221,9 +221,12 @@ def signature_witness(recipe: str, n: int = 2, r: int = 1) -> SignatureWitness:
         raise ValueError(f"unknown recipe {recipe!r}; choose from {SIGNATURE_RECIPES}")
     if n < 1:
         raise ValueError("n must be positive")
-    if recipe in F_RECIPES and n != 2:
-        raise ValueError(f"recipe {recipe} builds a polynomial in two variables, "
-                         f"so n (--n) must be 2, got {n}")
+    if recipe in F_RECIPES:
+        if n != 2:
+            raise ValueError(f"recipe {recipe} builds a polynomial in two variables, "
+                             f"so n (--n) must be 2, got {n}")
+        if r < 1:
+            raise ValueError("r must be positive")
     s = _s(n)
     one = Polynomial.constant(n, 1)
     x1 = Polynomial.variable(n, 0)
@@ -236,12 +239,8 @@ def signature_witness(recipe: str, n: int = 2, r: int = 1) -> SignatureWitness:
     elif recipe == "one_minus_x_times":
         poly, expected = one - x1 * (one - s), Signature(n + 1, 1)
     elif recipe == "f_odd":
-        if r < 1:
-            raise ValueError("r must be positive")
         poly, expected = f(2 * r + 1), Signature(r + 2, 0)
     elif recipe == "two_minus_f_odd":
-        if r < 1:
-            raise ValueError("r must be positive")
         poly, expected = 2 * Polynomial.constant(2, 1) - f(2 * r + 1), Signature(1, r + 2)
     else:  # append_negative, applied to the constant 1
         poly, expected = append_negative(one), Signature(2, n)

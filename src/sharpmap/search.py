@@ -42,14 +42,15 @@ Support enumeration applies four pruning rules, each with a one-line proof:
 Supports are index tuples into the graded-lex universe, generated depth
 first in lexicographic order by ``_Walk``, which carries the bitmask of the
 chosen indices, the bitmask of their mirrors and the set of rules (ii) and
-(iv) already met, never visits a subtree that holds no generated support
-(each skip is proved in its docstring), and keeps one column reduction per
-depth, so each solve reduces only its last column.  The swap test is one
-bit test: the mirror is smaller iff the lowest set bit of
-``mask ^ mirror`` lies in ``mirror`` (two sorted index lists of equal
-length first differ at the least element of their symmetric difference).
-A candidate that is not generated is pruned, so the pruned count is the
-number of candidates before the stopping point minus the solved ones.
+(iv) already met, draws the last index only from the eligible indices that
+meet every rule still missing (both proved in its docstring), and keeps one
+column reduction per depth, so each solve reduces only its last column.
+The swap test is one bit test: the mirror is smaller iff the lowest set
+bit of ``mask ^ mirror`` lies in ``mirror`` (two sorted index lists of
+equal length first differ at the least element of their symmetric
+difference).  A candidate that is not generated is pruned, so the pruned
+count is the number of candidates before the stopping point minus the
+solved ones.
 
 The tests check the pruned enumeration against a naive one, with no pruning
 and no symmetry reduction, at small degrees, and the walk against a filter
@@ -211,18 +212,12 @@ class _Walk:
     first i indices of the current support, built when the first support
     under that node is solved, so that every solve is handed the reduction
     of all but its last column.  Children are drawn from bitmasks of
-    eligible indices, and a child whose subtree holds no generated support
-    is skipped:
+    eligible indices:
 
     - an index whose mirror lies below ``first`` is not eligible: it is never
       in a canonical support with smallest index ``first``, as the mirrored
       sorted list would then start below ``first`` (and when the mirror of
       ``first`` lies below it, no index is eligible);
-    - ``room[s]``: the eligible indices with at least s - 1 eligible
-      indices above them, as a child that leaves s - 1 slots needs that many;
-    - ``rules_above[i]``: the rules met by some eligible index above i; a
-      child after which a rule of (ii) or (iv) is missing and met by no later
-      index completes to no generated support;
     - ``supply[missing]``: the eligible indices that meet every rule in
       ``missing``; with one slot left after a child, the last index must meet
       every missing rule at once, so it is drawn from these alone, and a
@@ -230,11 +225,11 @@ class _Walk:
     """
 
     def __init__(self, degree: int, terms: int, first: int, deadline):
-        self.degree, self.deadline = degree, deadline
-        self.universe = universe = monomial_universe(degree)
-        self.n = n = len(universe)
+        self.degree, self.terms, self.deadline = degree, terms, deadline
         table = line_columns(degree)
-        self.columns = [table[mon] for mon in universe]
+        self.universe = universe = list(table)
+        self.columns = list(table.values())
+        n = len(universe)
         index_of = {mon: i for i, mon in enumerate(universe)}
         mirror = [index_of[(b, a)] for a, b in universe]
         self.swap_bit = [1 << k for k in mirror]
@@ -243,27 +238,24 @@ class _Walk:
             if mirror[first] >= first else []
         self.supply = [sum(1 << i for i in eligible if self.rules[i] & missing == missing)
                        for missing in range(_ALL_RULES + 1)]
-        self.rules_above = [sum(1 << r for r in range(4) if self.supply[1 << r] >> i + 1)
-                            for i in range(n)]
-        self.room = [sum(1 << i for i in eligible[:len(eligible) + 1 - s])
-                     for s in range(terms + 1)]
         self.reductions = [_start(table[(0, 0)], terms)]
         self.witnesses: list[SharpWitness] = []
         self.examined = 0
 
-    def descend(self, combo: tuple[int, ...], children: int, met: int, mask: int, mirror: int,
-                slots: int) -> tuple[int, ...] | None:
+    def descend(self, combo: tuple[int, ...], children: int, met: int, mask: int,
+                mirror: int) -> tuple[int, ...] | None:
         """Solve, in lexicographic order, the generated supports below ``combo``.
 
         ``combo`` is a sorted tuple of universe indices, ``met`` the rules it
         meets, ``mask`` and ``mirror`` the bitmasks of its indices and of their
-        mirrors; ``slots`` (at least 2) more indices are appended, the first
-        of them from the bitmask ``children``.  A support is generated when
-        it meets (ii) and (iv) and is swap canonical.  Returns None when
-        every generated support is solved, and the first one left unsolved
-        when the deadline has passed.
+        mirrors; ``self.terms - len(combo)`` (at least 2) more indices are
+        appended, the first of them from the bitmask ``children``.  A support
+        is generated when it meets (ii) and (iv) and is swap canonical.
+        Returns None when every generated support is solved, and the first
+        one left unsolved when the deadline has passed.
         """
         depth = len(combo)
+        slots = self.terms - depth
         rules, swap_bit, supply, reductions = \
             self.rules, self.swap_bit, self.supply, self.reductions
         degree, deadline, universe = self.degree, self.deadline, self.universe
@@ -273,11 +265,9 @@ class _Walk:
             i = low.bit_length() - 1
             now = met | rules[i]
             if slots > 2:
-                if _ALL_RULES & ~now & ~self.rules_above[i]:
-                    continue
                 del reductions[depth + 1:]
-                stop = self.descend(combo + (i,), self.room[slots - 1] >> i + 1 << i + 1, now,
-                                    mask | low, mirror | swap_bit[i], slots - 1)
+                stop = self.descend(combo + (i,), supply[0] >> i + 1 << i + 1, now,
+                                    mask | low, mirror | swap_bit[i])
                 if stop is not None:
                     return stop
                 continue
@@ -338,11 +328,10 @@ def _search_block(degree: int, terms: int, first: int, deadline):
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
     walk = _Walk(degree, terms, first, deadline)
-    stop = walk.descend((), 1 << first, 0, 0, 0, terms)
-    if stop is not None:
-        return walk.witnesses, walk.examined, _lex_rank(stop, walk.n) - walk.examined, False
-    return (walk.witnesses, walk.examined,
-            math.comb(walk.n - 1 - first, terms - 1) - walk.examined, True)
+    stop = walk.descend((), 1 << first, 0, 0, 0)
+    n = len(walk.universe)
+    done = math.comb(n - 1 - first, terms - 1) if stop is None else _lex_rank(stop, n)
+    return walk.witnesses, walk.examined, done - walk.examined, stop is None
 
 
 def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None,

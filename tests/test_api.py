@@ -2,14 +2,18 @@
 
 Adding, renaming or deleting an export is a deliberate edit to this list.
 Submodules are left out: ``sharpmap.cli`` becomes an attribute of the
-package only once something imports it.
+package only once something imports it.  The input refusals of the public
+API that no other test reaches are pinned here too.
 """
 
 from __future__ import annotations
 
 import types
 
+import pytest
+
 import sharpmap
+from sharpmap import Polynomial, f
 
 PUBLIC_NAMES = [
     "FeasibilityResult",
@@ -72,3 +76,32 @@ def test_public_names_are_pinned():
     exported = sorted(name for name, value in vars(sharpmap).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
+
+
+REFUSALS = {
+    "float_coefficient": (lambda: Polynomial(2, {(1, 0): 1.5}), TypeError,
+                          "must be an int or Fraction"),
+    "congruence_class_0": (lambda: sharpmap.congruence_class(0), ValueError, "at least 1"),
+    "pell_b_bound_0": (lambda: sharpmap.generalized_solutions(8, -7, 0), ValueError,
+                       "b_bound must be at least 1"),
+    "frobenius_a_0": (lambda: sharpmap.frobenius(0, 1), ValueError, "need a >= 1"),
+    "T_0": (lambda: sharpmap.T(0), ValueError, "n must be positive"),
+    "h_inequality_range": (lambda: sharpmap.h_coeff_inequality_holds(3, 3), ValueError,
+                           "3 <= s <= m-1"),
+    "ratio4_sites_0": (lambda: sharpmap.ratio4_sites(0), ValueError, "r_bound must be positive"),
+    "ratio4_s_0": (lambda: sharpmap.ratio4_construct(5, 0), ValueError, "1 <= s <= r-2"),
+    "ratio4_not_4": (lambda: sharpmap.ratio4_construct(5, 3), ValueError, "ratio is not 4"),
+    "even_u_negative": (lambda: sharpmap.even_u(-1, 0), ValueError, "must be nonnegative"),
+    "variable_index": (lambda: Polynomial.variable(2, 2), ValueError, "out of range"),
+    "arity_mismatch": (lambda: f(3) + Polynomial(3), ValueError, "arity mismatch"),
+    "swap_arity": (lambda: Polynomial(3).swap_xy(), ValueError, "only for two variables"),
+    "restrict_no_variable": (lambda: sharpmap.restrict_to_hyperplane(Polynomial(0)), ValueError,
+                             "at least one variable"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_input_is_refused(name):
+    call, error, fragment = REFUSALS[name]
+    with pytest.raises(error, match=fragment):
+        call()

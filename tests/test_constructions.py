@@ -287,6 +287,9 @@ class TestRatio4:
 
 
 class TestComposition:
+    # the certificate's counters: (examined, pruned)
+    COUNTERS = {4: (103, 1262), 6: (5882, 92398), 8: (426627, 7718433)}
+
     @pytest.mark.parametrize("degree, count", [(4, 4), (6, 10), (8, 24)])
     def test_even_certificates_are_compositions_of_odd_ones(self, degree, count):
         # A and B from the odd certificates, c·m a top-degree term of A
@@ -297,8 +300,11 @@ class TestComposition:
         for p in composed:
             assert is_map_polynomial(p)
             assert p.degree() == degree and p.term_count() == min_term_count(degree)
-        assert composed == set(uniqueness_status(degree).distinct_polynomials)
+        certificate = uniqueness_status(degree)
+        assert composed == set(certificate.distinct_polynomials)
         assert len(composed) == count
+        stats = certificate.certificate.stats
+        assert (stats.examined, stats.pruned) == self.COUNTERS[degree]
 
 
 class TestEvenSplice:

@@ -457,6 +457,24 @@ class TestWalk:
         assert Counter(map(len, prefixes)) == {1: 17, 2: 242, 3: 2645, 4: 10375}
         assert len(built) == len(prefixes) == 13279
 
+    def test_descend_calls(self, monkeypatch):
+        # the walk's cost in a count that timing noise cannot move: one
+        # frame per visited node with 2 or more slots left.  Skipping the
+        # children that run out of indices or miss a rule no later index
+        # meets made 3,487; one frame per level, the last-index loop
+        # unnested, made 17,115.  A change to the walk states its new count
+        # here.
+        calls = []
+        descend = search._Walk.descend
+
+        def counting(walk, *args):
+            calls.append(args[0])
+            return descend(walk, *args)
+
+        monkeypatch.setattr(search._Walk, "descend", counting)
+        uniqueness_status(7)
+        assert len(calls) == 4776
+
 
 class TestPruningRules:
     """Every pruned support must be infeasible (validated at d <= 5)."""
