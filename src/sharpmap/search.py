@@ -42,9 +42,11 @@ Support enumeration applies four pruning rules, each with a one-line proof:
 Supports are index tuples into the graded-lex universe, generated depth
 first in lexicographic order by ``_Walk``, which carries the bitmask of the
 chosen indices, the bitmask of their mirrors and the set of rules (ii) and
-(iv) already met, draws the last index only from the eligible indices that
-meet every rule still missing (both proved in its docstring), and keeps one
-column reduction per depth, so each solve reduces only its last column.
+(iv) already met, draws each inner index only from the eligible indices
+with enough eligible indices above it and the last one only from those
+that meet every rule still missing (each skip is proved in its
+docstring), and keeps one column reduction per depth, so each solve
+reduces only its last column.
 The swap test is one bit test: the mirror is smaller iff the lowest set
 bit of ``mask ^ mirror`` lies in ``mirror`` (two sorted index lists of
 equal length first differ at the least element of their symmetric
@@ -218,6 +220,10 @@ class _Walk:
       in a canonical support with smallest index ``first``, as the mirrored
       sorted list would then start below ``first`` (and when the mirror of
       ``first`` lies below it, no index is eligible);
+    - ``room[s]``: the eligible indices with at least s - 1 eligible
+      indices above them, as a child that leaves s - 1 slots needs that
+      many (without it the walk visits every short tuple of eligible
+      indices, about 2^n frames when ``terms`` is near n);
     - ``supply[missing]``: the eligible indices that meet every rule in
       ``missing``; with one slot left after a child, the last index must meet
       every missing rule at once, so it is drawn from these alone, and a
@@ -238,6 +244,8 @@ class _Walk:
             if mirror[first] >= first else []
         self.supply = [sum(1 << i for i in eligible if self.rules[i] & missing == missing)
                        for missing in range(_ALL_RULES + 1)]
+        self.room = [sum(1 << i for i in eligible[:max(len(eligible) + 1 - s, 0)])
+                     for s in range(terms + 1)]
         self.reductions = [_start(table[(0, 0)], terms)]
         self.witnesses: list[SharpWitness] = []
         self.examined = 0
@@ -266,7 +274,7 @@ class _Walk:
             now = met | rules[i]
             if slots > 2:
                 del reductions[depth + 1:]
-                stop = self.descend(combo + (i,), supply[0] >> i + 1 << i + 1, now,
+                stop = self.descend(combo + (i,), self.room[slots - 1] >> i + 1 << i + 1, now,
                                     mask | low, mirror | swap_bit[i])
                 if stop is not None:
                     return stop

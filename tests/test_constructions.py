@@ -300,10 +300,10 @@ class TestComposition:
         for p in composed:
             assert is_map_polynomial(p)
             assert p.degree() == degree and p.term_count() == min_term_count(degree)
-        certificate = uniqueness_status(degree)
-        assert composed == set(certificate.distinct_polynomials)
+        result = uniqueness_status(degree)
+        assert composed == set(result.distinct_polynomials)
         assert len(composed) == count
-        stats = certificate.certificate.stats
+        stats = result.certificate.stats
         assert (stats.examined, stats.pruned) == self.COUNTERS[degree]
 
 

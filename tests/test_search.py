@@ -439,8 +439,8 @@ class TestWalk:
         # a prefix is reduced when the first support under it is solved and
         # kept for the rest, and a node with no solved support reduces
         # nothing (building at every visited node would make 16,176 at d = 7)
-        built, solved = [], []
-        extend = search._extend
+        built, solved, calls = [], [], []
+        extend, descend = search._extend, search._Walk.descend
 
         def counting(state, column, m):
             built.append(column)
@@ -450,30 +450,43 @@ class TestWalk:
             solved.append(mons)
             return solve(mons, d, prefix)
 
+        def visiting(walk, *args):
+            calls.append(args[0])
+            return descend(walk, *args)
+
         monkeypatch.setattr(search, "_extend", counting)
         monkeypatch.setattr(search, "solve_support_system", recording)
+        monkeypatch.setattr(search._Walk, "descend", visiting)
         uniqueness_status(7)
         prefixes = {mons[:k] for mons in solved for k in range(1, len(mons))}
         assert Counter(map(len, prefixes)) == {1: 17, 2: 242, 3: 2645, 4: 10375}
         assert len(built) == len(prefixes) == 13279
-
-    def test_descend_calls(self, monkeypatch):
         # the walk's cost in a count that timing noise cannot move: one
-        # frame per visited node with 2 or more slots left.  Skipping the
-        # children that run out of indices or miss a rule no later index
-        # meets made 3,487; one frame per level, the last-index loop
-        # unnested, made 17,115.  A change to the walk states its new count
-        # here.
+        # frame per visited node with 2 or more slots left.  Also skipping
+        # a child after which a missing rule is met by no later index made
+        # 3,487; one frame per level, the last-index loop unnested, made
+        # 17,115.  A change to the walk states its new count here.
+        assert len(calls) == 4037
+
+    def test_frames_at_high_term_counts(self, monkeypatch):
+        # a child needs as many eligible indices above it as slots it
+        # leaves: without that skip the walk visits every short tuple of
+        # eligible indices (1,757,057 frames here), and a room table that
+        # wraps round in blocks with few eligible indices made 2,271
         calls = []
         descend = search._Walk.descend
 
-        def counting(walk, *args):
+        def visiting(walk, *args):
             calls.append(args[0])
             return descend(walk, *args)
 
-        monkeypatch.setattr(search._Walk, "descend", counting)
-        uniqueness_status(7)
-        assert len(calls) == 4776
+        monkeypatch.setattr(search._Walk, "descend", visiting)
+        # walk cost alone: no system is solved
+        monkeypatch.setattr(search, "solve_support_system",
+                            lambda mons, d, prefix=None: search._INFEASIBLE)
+        _, complete, stats = enumerate_sharp(5, 19)
+        assert complete and (stats.examined, stats.pruned) == (111, 99)
+        assert len(calls) == 1162
 
 
 class TestPruningRules:
