@@ -16,6 +16,7 @@ from .constructions import (
     h_coeff_inequality_holds,
     h_coeff_sum,
     h_with_trace,
+    ladder_with_trace,
     mod6,
     mod6_with_trace,
     pell_ratio_site,

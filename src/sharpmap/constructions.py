@@ -1,15 +1,19 @@
 """Sharp polynomials inequivalent to the f(d) family, each one rewrite of a base.
 
 Every construction adds to a sharp base polynomial a change that vanishes
-on the line x + y = 1.  The four odd ones rewrite f(d):
+on the line x + y = 1.  Three odd ones are rungs of one ladder of line
+identities, P_1 = x^2 + 2y and P_(j+1) = P_j^2 - 2y^(2^j), so that
+P_j = 1 + y^(2^j) on the line; its coefficients c_i of x^(2^j-2i) y^i are
+positive.  Rung j at a site (r, s) of f(2r+1), with a = 2r+1-2s and
+K = min_i K(r, s+i)/c_i, rewrites K x^(a-2^j) y^s P_j as
+K x^(a-2^j) y^s (1 + y^(2^j)) (``ladder_with_trace``); the result is sharp
+exactly when two ratios equal K.
 
-  * ``q(d)``      uses x^2 + 2y = 1 + y^2 at a site where consecutive
-                  coefficients of f(d) have ratio exactly 2; such sites
-                  exist precisely when d^2 = 12 k^2 + 1 (a Pell condition).
-  * ``mod6(k)``   uses x^4 + 4x^2y + 2y^2 = 1 + y^4 at the site r = 3k,
-                  s = 2k of f(6k+1), where the ratio is exactly 1/2.
-  * ``ratio4_construct(r, s)`` uses the same quartic identity at sites
-                  where the ratio is exactly 4 (tied to a^2 - 8b^2 = -7).
+  * ``q(d)``      is rung 1 at the ratio-2 site of f(d), which exists
+                  precisely when d^2 = 12 k^2 + 1 (a Pell condition).
+  * ``mod6(k)``   is rung 2 at the site (3k, 2k-1) of f(6k+1).
+  * ``ratio4_construct(r, s)`` is rung 2 at sites where the ratio is
+                  exactly 4 (tied to a^2 - 8b^2 = -7).
   * ``h(m)``      subtracts (4m-1) x^(2m-1) y (f(2m-2) - 1), which vanishes
                   on the line, from f(4m-1); covers every degree 3 mod 4.
 
@@ -41,9 +45,6 @@ from .polynomial import (
 )
 
 TermList = tuple[tuple[tuple[int, int], Fraction], ...]
-
-IDENTITY_QUADRATIC = "x^2 + 2y = 1 + y^2 on x+y=1"
-IDENTITY_QUARTIC = "x^4 + 4x^2y + 2y^2 = 1 + y^4 on x+y=1"
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,45 @@ def _step_adding(delta: Polynomial, line_identity: str, degree: int) -> Replacem
                            tuple((e, c) for e, c in terms if c > 0), line_identity, degree)
 
 
+# -- the ladder of line identities ---------------------------------------------
+
+
+def _power(name: str, e: int) -> str:
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def ladder_with_trace(j: int, r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
+    """Rung j of the ladder at the site (r, s) of f(2r+1), with its replacement record.
+
+    The step consumes K(r, s+i) x^(a-2i) y^(s+i), i = 0..2^(j-1), and produces
+    the two new terms and K(r, s+i) - K c_i where that is positive.  A site
+    where other than two ratios equal K is refused before f(2r+1) is built.
+    """
+    # the shift tests s + 2^(j-1) <= r without building 2^(j-1)
+    if j < 1 or s < 1 or (r - s) >> (j - 1) < 1:
+        raise ValueError(f"invalid rung {j} at ({r},{s}): need j >= 1 and 1 <= s <= r - 2^(j-1)")
+    p = Polynomial(2, {(2, 0): 1, (0, 1): 2})
+    for i in range(1, j):
+        p = p * p - Polynomial(2, {(0, 2 ** i): 2})
+    top = 2 ** j
+    c = [p.coefficient((top - 2 * i, i)) for i in range(top // 2 + 1)]
+    ks = [Fraction(f_coefficient(r, s + i)) for i in range(len(c))]
+    k = min(kk / ci for kk, ci in zip(ks, c))
+    rest = [kk - k * ci for kk, ci in zip(ks, c)]
+    if rest.count(0) != 2:
+        raise ValueError(f"({r},{s}) is not a rung-{j} site: {rest.count(0)} of the ratios "
+                         f"K(r,s+i)/c_i equal their minimum, not 2")
+    a = 2 * r + 1 - 2 * s
+    produced = [((a - 2 * i, s + i), e) for i, e in enumerate(rest) if e]
+    produced += [((a - top, s), k), ((a - top, s + top), k)]
+    identity = " + ".join(f"{'' if ci == 1 else ci}{_power('x', top - 2 * i)}{_power('y', i)}"
+                          for i, ci in enumerate(c))
+    step = ReplacementStep(tuple(((a - 2 * i, s + i), kk) for i, kk in enumerate(ks)),
+                           tuple(sorted(produced, key=lambda t: (-t[0][0], t[0][1]))),
+                           f"{identity} = 1 + y^{top} on x+y=1", 2 * r + 1)
+    return _rewrite(f(2 * r + 1), step, f"rung {j} at ({r},{s})"), step
+
+
 # -- ratio-2 sites and q(d) ----------------------------------------------------
 
 
@@ -123,25 +163,11 @@ def pell_ratio_site(d: int) -> int | None:
 
 
 def q_with_trace(d: int) -> tuple[Polynomial, ReplacementStep]:
-    """The ratio-2 rewrite of f(d), with its replacement record.
-
-    The two consecutive terms K x^(a) y^s + 2K x^(a-2) y^(s+1), a = 2r+1-2s,
-    equal K x^(a-2) y^s (x^2 + 2y) and are replaced by
-    K x^(a-2) y^s + K x^(a-2) y^(s+2).
-    """
+    """Rung 1 of the ladder at the ratio-2 site of f(d), with its replacement record."""
     s = pell_ratio_site(d)
     if s is None:
         raise ValueError(f"f({d}) has no consecutive-coefficient ratio equal to 2")
-    r = (d - 1) // 2
-    ks = Fraction(f_coefficient(r, s))
-    a = 2 * r + 1 - 2 * s
-    step = ReplacementStep(
-        consumed=(((a, s), ks), ((a - 2, s + 1), 2 * ks)),
-        produced=(((a - 2, s), ks), ((a - 2, s + 2), ks)),
-        line_identity=IDENTITY_QUADRATIC,
-        degree=d,
-    )
-    return _rewrite(f(d), step, f"q({d})"), step
+    return ladder_with_trace(1, (d - 1) // 2, s)
 
 
 def q(d: int) -> Polynomial:
@@ -234,37 +260,14 @@ def h_coeff_inequality_holds(m: int, s: int) -> bool:
 
 
 def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
-    """Quartic-identity rewrite of f(6k+1) at the site r = 3k, s = 2k.
+    """Rung 2 of the ladder at the site (3k, 2k-1) of f(6k+1).
 
-    There K(r,s)/K(r,s+1) = 2 and c = 4 K(r,s-1)/K(r,s) > 1, so the three
-    consecutive terms equal
-        (K(r,s)/4) x^(a-4) y^(s-1) ((c-1) x^4 + (x^4 + 4x^2y + 2y^2)),
-    a = 2r+3-2s, and the parenthesized quartic block is replaced by 1 + y^4.
+    K(r, 2k) = 2 K(r, 2k+1) makes K = K(r, 2k)/4 at i = 1 and 2, and
+    K(r, 2k-1)/K(r, 2k) = k(4k+1) / ((2k+3)(k+1)) > 1/4.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    r, s = 3 * k, 2 * k
-    k_lo = Fraction(f_coefficient(r, s - 1))
-    k_mid = Fraction(f_coefficient(r, s))
-    k_hi = Fraction(f_coefficient(r, s + 1))
-    if k_mid != 2 * k_hi:
-        raise AssertionError(f"mod6({k}): middle/upper coefficient ratio is not 2")
-    if k_lo / k_mid != Fraction(k * (4 * k + 1), (2 * k + 3) * (k + 1)):
-        raise AssertionError(f"mod6({k}): lower/middle ratio does not match the closed form")
-    c = 4 * k_lo / k_mid
-    if c <= 1:
-        raise AssertionError(f"mod6({k}): retained coefficient factor c-1 is not positive")
-    quarter = k_mid / 4
-    a = 2 * r + 3 - 2 * s
-    step = ReplacementStep(
-        consumed=(((a, s - 1), k_lo), ((a - 2, s), k_mid), ((a - 4, s + 1), k_hi)),
-        produced=(((a, s - 1), quarter * (c - 1)),
-                  ((a - 4, s - 1), quarter),
-                  ((a - 4, s + 3), quarter)),
-        line_identity=IDENTITY_QUARTIC,
-        degree=6 * k + 1,
-    )
-    return _rewrite(f(6 * k + 1), step, f"mod6({k})"), step
+    return ladder_with_trace(2, 3 * k, 2 * k - 1)
 
 
 def mod6(k: int) -> Polynomial:
@@ -297,29 +300,12 @@ def ratio4_sites(r_bound: int) -> list[tuple[int, int]]:
 
 
 def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
-    """Quartic-identity rewrite of f(2r+1) at a ratio-4 site.
-
-    With a = 2r+1-2s and K = K(r,s), split K(r,s+2) = 2K + E (E > 0) and
-    rewrite K x^(a-4) y^s (x^4 + 4x^2y + 2y^2) as K x^(a-4) y^s (1 + y^4),
-    keeping E x^(a-4) y^(s+2).
-    """
+    """Rung 2 of the ladder at a ratio-4 site of f(2r+1), where K(r,s+2) > 2 K(r,s)."""
     if not 1 <= s <= r - 2:
         raise ValueError(f"invalid site ({r},{s}): need 1 <= s <= r-2")
     if coefficient_ratio(r, s) != 4:
         raise ValueError(f"invalid site ({r},{s}): consecutive coefficient ratio is not 4")
-    ks = Fraction(f_coefficient(r, s))
-    ks2 = Fraction(f_coefficient(r, s + 2))
-    excess = ks2 - 2 * ks
-    if excess < 0:
-        raise ValueError(f"invalid site ({r},{s}): K(r,s+2) < 2 K(r,s)")
-    a = 2 * r + 1 - 2 * s
-    step = ReplacementStep(
-        consumed=(((a, s), ks), ((a - 2, s + 1), 4 * ks), ((a - 4, s + 2), ks2)),
-        produced=(((a - 4, s), ks), ((a - 4, s + 2), excess), ((a - 4, s + 4), ks)),
-        line_identity=IDENTITY_QUARTIC,
-        degree=2 * r + 1,
-    )
-    return _rewrite(f(2 * r + 1), step, f"ratio4({r},{s})"), step
+    return ladder_with_trace(2, r, s)
 
 
 def ratio4_construct(r: int, s: int) -> Polynomial:

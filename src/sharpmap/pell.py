@@ -9,7 +9,8 @@ sqrt(lambda); higher solutions come from the integer power recurrence
 
 The lambda = 12 sequence (d = 7, 97, 1351, 18817, 262087, ...) drives the
 degree list for which the ratio-2 coefficient replacement applies; see
-``constructions``.  Everything here is exact big-integer arithmetic.
+``constructions``.  Solutions of a^2 - D b^2 = N are listed by class under
+the fundamental unit of D.  Everything here is exact big-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -62,24 +63,24 @@ def check_lambda(lam: int, name: str = "lambda") -> None:
         raise ValueError(f"{name} must not be a perfect square, got {lam}")
 
 
-def fundamental_solution(lam: int) -> PellSolution:
-    """Minimal positive solution of d^2 - lam k^2 = 1, via continued fractions.
-
-    Convergents p/q of sqrt(lam) are generated until p^2 - lam q^2 = 1; the
-    first hit is the fundamental solution.
-    """
-    check_lambda(lam)
+def _convergents(lam: int):
+    """The convergents p/q of sqrt(lam), as (p, q) in order, without end."""
     a0 = math.isqrt(lam)
     # continued-fraction state for sqrt(lam): value = (sqrt(lam) + m) / d
     m, d, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    while p * p - lam * q * q != 1:
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    while True:
+        yield p, q
         m = d * a - m
         d = (lam - m * m) // d
         a = (a0 + m) // d
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+        p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+
+
+def fundamental_solution(lam: int) -> PellSolution:
+    """Minimal positive solution of d^2 - lam k^2 = 1: the first convergent that solves it."""
+    check_lambda(lam)
+    p, q = next((p, q) for p, q in _convergents(lam) if p * p - lam * q * q == 1)
     return PellSolution(p, q, lam, 1)
 
 
@@ -110,22 +111,32 @@ def congruence_class(m: int) -> int:
 
 
 def generalized_solutions(D: int, N: int, b_bound: int) -> list[GeneralizedPellSolution]:
-    """All positive solutions of a^2 - D b^2 = N with 1 <= b <= b_bound.
+    """All positive solutions of a^2 - D b^2 = N with 1 <= b <= b_bound, sorted by b.
 
-    Bounded exhaustive scan over b with exact square testing of N + D b^2,
-    sorted by b.
+    Listed by class (Nagell): each is a seed a + b sqrt(D) > 0 times a power of
+    the unit x1 + y1 sqrt(D), with b^2 <= y1^2 |N| / (2(x1 ± 1)), + when N > 0.
+    With u, v >= 0 the seeds are u ± v sqrt(D) when N > 0, ±u + v sqrt(D) when
+    N < 0.  A unit past q = b_bound is not sought: every b is then a seed, not walked.
     """
     if b_bound < 1:
         raise ValueError(f"b_bound must be at least 1, got {b_bound}")
     if N == 0:
         raise ValueError("N must be nonzero")
     check_lambda(D, "D")
-    out = []
-    for b in range(1, b_bound + 1):
-        t = N + D * b * b
-        if t <= 0:
+    x1, y1 = next((p, q) for p, q in _convergents(D) if q > b_bound or p * p - D * q * q == 1)
+    unit = x1 * x1 - D * y1 * y1 == 1
+    v_max = math.isqrt(y1 * y1 * abs(N) // (2 * (x1 + (1 if N > 0 else -1)))) if unit else b_bound
+    found = set()
+    for v in range(min(v_max, b_bound) + 1):
+        t = N + D * v * v
+        u = math.isqrt(max(t, 0))
+        if u * u != t:
             continue
-        a = math.isqrt(t)
-        if a * a == t and a > 0:
-            out.append(GeneralizedPellSolution(a, b, D, N))
-    return out
+        for a, b in ((u, v), (u, -v) if N > 0 else (-u, v)):
+            while b <= b_bound:
+                if a > 0 and b > 0:
+                    found.add((a, b))
+                if not unit:
+                    break
+                a, b = x1 * a + D * y1 * b, y1 * a + x1 * b
+    return [GeneralizedPellSolution(a, b, D, N) for a, b in sorted(found, key=lambda s: s[1])]

@@ -3,9 +3,9 @@
 Each oracle deliberately takes a different computational route from the
 library code it checks: radical/binomial expansions instead of recurrences,
 the defining recurrence instead of a closed form, brute-force scans instead
-of continued fractions, sympy instead of the in-package arithmetic,
-whole-system elimination instead of column-by-column reduction, the
-basis x^k y^(d-k) instead of powers of x, and a filter over every
+of continued fractions and unit classes, sympy instead of the in-package
+arithmetic, whole-system elimination instead of column-by-column reduction,
+the basis x^k y^(d-k) instead of powers of x, and a filter over every
 combination instead of a pruned depth-first walk.
 """
 
@@ -72,6 +72,17 @@ def pell_fundamental_by_scan(lam: int) -> tuple[int, int]:
         if d * d == t:
             return d, k
         k += 1
+
+
+def generalized_pell_by_scan(D: int, N: int, b_bound: int) -> list[tuple[int, int]]:
+    """Every (a, b) with a, b > 0, b <= b_bound and a^2 - D b^2 = N, by testing each b."""
+    out = []
+    for b in range(1, b_bound + 1):
+        t = N + D * b * b
+        a = math.isqrt(max(t, 0))
+        if a > 0 and a * a == t:
+            out.append((a, b))
+    return out
 
 
 def pell_power_by_binomial(lam: int, d1: int, k1: int, m: int) -> tuple[int, int]:

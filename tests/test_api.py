@@ -53,6 +53,7 @@ PUBLIC_NAMES = [
     "h_with_trace",
     "is_map_polynomial",
     "is_one_on_hyperplane",
+    "ladder_with_trace",
     "mod6",
     "mod6_with_trace",
     "monomials_independent_of_constants",
@@ -91,6 +92,14 @@ REFUSALS = {
     "ratio4_sites_0": (lambda: sharpmap.ratio4_sites(0), ValueError, "r_bound must be positive"),
     "ratio4_s_0": (lambda: sharpmap.ratio4_construct(5, 0), ValueError, "1 <= s <= r-2"),
     "ratio4_not_4": (lambda: sharpmap.ratio4_construct(5, 3), ValueError, "ratio is not 4"),
+    "mod6_k_0": (lambda: sharpmap.mod6(0), ValueError, "k must be positive"),
+    "ladder_j_0": (lambda: sharpmap.ladder_with_trace(0, 5, 1), ValueError, "need j >= 1"),
+    "ladder_s_0": (lambda: sharpmap.ladder_with_trace(1, 5, 0), ValueError, "1 <= s <= r - 2"),
+    # s + 2^(j-1) = 6 > r
+    "ladder_past_r": (lambda: sharpmap.ladder_with_trace(3, 5, 2), ValueError, "1 <= s <= r - 2"),
+    # refused from three coefficients, before f(2 * 10^9 + 1) is built
+    "ladder_not_a_site": (lambda: sharpmap.ladder_with_trace(2, 10 ** 9, 1), ValueError,
+                          "not a rung-2 site"),
     "even_u_negative": (lambda: sharpmap.even_u(-1, 0), ValueError, "must be nonnegative"),
     "variable_index": (lambda: Polynomial.variable(2, 2), ValueError, "out of range"),
     "arity_mismatch": (lambda: f(3) + Polynomial(3), ValueError, "arity mismatch"),

@@ -69,6 +69,12 @@ PINNED_REPORTS = {
         "4aaa7358525a98c65c8d93d4481334ab71d3f02aa42d224472a5cab0708323eb",
     ("construct", "ratio4", "--r", "5", "--s", "1"):
         "1712b2d3d56d0084df6402843d866693fda9be7416f0af25ff90a74a9aba6a49",
+    # the largest mod6 report of the construct workload
+    ("construct", "mod6", "--k", "20"):
+        "4917e9402c23e8526e63917b2af521e8dc3efa89efb1a261411decac4f7cb8fe",
+    # the second ratio-4 site, degree 373
+    ("construct", "ratio4", "--r", "186", "--s", "54"):
+        "a88dc7de7bd351ba749a5ab2eee91dd898eeeef2fff0adae46cbeb9841abc516",
     ("family", "f", "--degree", "8"):
         "04692b8796f875f1e2bedda867c7e44dfe1bb9722ecdf368337e96bb0320f67d",
     ("family", "f", "--degree", "1351"):
@@ -143,6 +149,15 @@ class TestPell:
         assert code == 0 and passed_all(report)
         assert [s["b"] for s in report["outputs"]["solutions"]] == \
             ["1", "2", "4", "11", "23", "64"]
+
+    def test_generalized_bound_far_past_any_scan(self, capsys):
+        # listed by class under the unit 3 + sqrt(8), not by testing each b
+        code, report = run(capsys, "pell", "--general-d", "8", "--general-n", "-7",
+                           "--b-bound", str(10 ** 40))
+        assert code == 0 and passed_all(report)
+        pairs = [(int(s["a"]), int(s["b"])) for s in report["outputs"]["solutions"]]
+        assert len(pairs) > 100
+        assert all(a * a - 8 * b * b == -7 and 0 < b <= 10 ** 40 for a, b in pairs)
 
     def test_decimal_strings_past_the_conversion_cap(self, capsys):
         # CPython caps int/str conversion at 4,300 digits by default; main

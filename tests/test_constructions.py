@@ -1,4 +1,4 @@
-"""The four replacement constructions and the scaled h-coefficients."""
+"""The replacement constructions, the ladder of line identities and the scaled h-coefficients."""
 
 from __future__ import annotations
 
@@ -14,12 +14,14 @@ from sharpmap import (
     even_family,
     even_u,
     f,
+    f_coefficient,
     h,
     h_coeff_closed,
     h_coeff_inequality_holds,
     h_coeff_sum,
     h_with_trace,
     is_map_polynomial,
+    ladder_with_trace,
     mod6,
     mod6_with_trace,
     pell_ratio_site,
@@ -101,6 +103,7 @@ class TestRewrite:
         (h_with_trace, (3,)),
         (mod6_with_trace, (2,)),
         (ratio4_construct_with_trace, (5, 1)),
+        (ladder_with_trace, (3, 9, 1)),
     ])
     def test_step_carries_its_degree(self, build, args):
         poly, step = build(*args)
@@ -234,6 +237,14 @@ class TestMod6:
         with pytest.raises(ValueError):
             mod6(0)
 
+    def test_site_ratios_in_closed_form_to_k40(self):
+        # K(r, 2k) = 2 K(r, 2k+1) ties the ratios at i = 1, 2; the first is larger
+        for k in range(1, 41):
+            r = 3 * k
+            assert f_coefficient(r, 2 * k) == 2 * f_coefficient(r, 2 * k + 1)
+            assert Fraction(f_coefficient(r, 2 * k - 1), f_coefficient(r, 2 * k)) == \
+                Fraction(k * (4 * k + 1), (2 * k + 3) * (k + 1))
+
 
 class TestRatio4:
     def test_sites_bound_5(self):
@@ -284,6 +295,34 @@ class TestRatio4:
             ratio4_construct(5, 2)
         with pytest.raises(ValueError):
             ratio4_construct(4, 1)
+
+
+class TestLadder:
+    @pytest.mark.parametrize("j, identity", [
+        (1, "x^2 + 2y = 1 + y^2 on x+y=1"),
+        (2, "x^4 + 4x^2y + 2y^2 = 1 + y^4 on x+y=1"),
+        (3, "x^8 + 8x^6y + 20x^4y^2 + 16x^2y^3 + 2y^4 = 1 + y^8 on x+y=1"),
+    ])
+    def test_line_identity_is_written_from_p_j(self, j, identity):
+        _, step = ladder_with_trace(j, 2 ** j + 1, 1)
+        assert step.line_identity == identity
+
+    def test_rung_3_at_930_170_is_a_new_sharp_class(self):
+        p, _ = ladder_with_trace(3, 930, 170)
+        assert is_map_polynomial(p)
+        assert p.degree() == 1861 and p.term_count() == 932 == min_term_count(1861)
+        assert not equivalent(p, f(1861))
+        assert not equivalent(p, mod6(310))
+
+    @pytest.mark.parametrize("j, m", [(3, 5), (4, 9)])
+    def test_s_1_rungs_are_h(self, j, m):
+        # at s = 1 the rung sits in f(2^(j+1) + 3) = f(4m - 1)
+        assert ladder_with_trace(j, 2 ** j + 1, 1)[0] == h(m)
+
+    def test_site_with_one_minimal_ratio_is_refused(self):
+        # K(3, 2) = 14 and K(3, 3) / 2 = 7/2: one ratio equals the minimum
+        with pytest.raises(ValueError, match="1 of the ratios"):
+            ladder_with_trace(1, 3, 2)
 
 
 class TestComposition:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from sharpmap import (
@@ -14,7 +16,7 @@ from sharpmap import (
     solutions,
 )
 
-from .oracles import pell_fundamental_by_scan, pell_power_by_binomial
+from .oracles import generalized_pell_by_scan, pell_fundamental_by_scan, pell_power_by_binomial
 
 NONSQUARES_TO_20 = [2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20]
 
@@ -115,6 +117,17 @@ class TestGeneralized:
     def test_identity_enforced_by_type(self):
         with pytest.raises(ValueError):
             GeneralizedPellSolution(2, 1, 8, -7)
+
+    def test_class_listing_matches_the_scan_on_a_grid(self):
+        # the units of D = 29, 61, 109, ... lie past every bound here: those take the scan
+        for D in range(2, 120):
+            if math.isqrt(D) ** 2 == D:
+                continue
+            for N in [n for k in range(1, 41) for n in (k, -k)]:
+                scanned = generalized_pell_by_scan(D, N, 200)
+                for bound in (1, 2, 3, 5, 8, 13, 40, 200):
+                    listed = [(s.a, s.b) for s in generalized_solutions(D, N, bound)]
+                    assert listed == [(a, b) for a, b in scanned if b <= bound], (D, N, bound)
 
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):
