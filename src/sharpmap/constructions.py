@@ -283,6 +283,11 @@ def ratio4_sites(r_bound: int) -> list[tuple[int, int]]:
     The ratio-4 condition solves to s = (8r - 1 - sqrt(32r^2 + 32r + 1)) / 8.
     With b = 2r+1 and a = 8(r-s)-1 that is a^2 - 8 b^2 = -7, so the sites are
     the solutions from ``generalized_solutions`` with b odd and a = 7 mod 8.
+    Both tests read the closed form of ``coefficient_ratio``,
+    K(r,s+1)/K(r,s) = (2r-2s+1)(2r-2s) / ((s+1)(2r-s)), in O(1) big-integer
+    work per site, not the binomials K(r, s) of tens of thousands of digits:
+    with ratio 4 at s, K(r,s+2) = 4 K(r,s) K(r,s+2)/K(r,s+1), so
+    K(r,s+2) >= 2 K(r,s) iff the ratio at s+1 is at least 1/2.
     """
     if r_bound < 1:
         raise ValueError("r_bound must be positive")
@@ -292,9 +297,10 @@ def ratio4_sites(r_bound: int) -> list[tuple[int, int]]:
         s = r - (sol.a + 1) // 8
         if sol.b % 2 == 0 or sol.a % 8 != 7 or not 1 <= s <= r - 2:
             continue
-        if coefficient_ratio(r, s) != 4:
+        t = r - s
+        if (2 * t + 1) * 2 * t != 4 * (s + 1) * (2 * r - s):
             raise AssertionError(f"closed-form site ({r},{s}) does not have ratio 4")
-        if f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s):
+        if 2 * (2 * t - 1) * (2 * t - 2) >= (s + 2) * (2 * r - s - 1):
             sites.append((r, s))
     return sites
 

@@ -39,28 +39,52 @@ Support enumeration applies four pruning rules, each with a one-line proof:
         (-1)^(b_i) c_i and must vanish; with all c_i > 0 the top slice
         must contain monomials with both parities of b.  (Subsumes (i).)
 
-Supports are index tuples into the graded-lex universe, generated depth
-first in lexicographic order by ``_Walk``, which carries the bitmask of the
-chosen indices, the bitmask of their mirrors and the set of rules (ii) and
-(iv) already met, draws each inner index only from the eligible indices
-with enough eligible indices above it and the last one only from those
-that meet every rule still missing (each skip is proved in its
-docstring), and keeps one column reduction per depth, so each solve
-reduces only its last column.
-The swap test is one bit test: the mirror is smaller iff the lowest set
-bit of ``mask ^ mirror`` lies in ``mirror`` (two sorted index lists of
-equal length first differ at the least element of their symmetric
-difference).  A candidate that is not generated is pruned, so the pruned
-count is the number of candidates before the stopping point minus the
-solved ones.
+The walk adds a fifth rule, the lead rule, on the order it walks in.
+Supports are index tuples into the universe sorted by (a, b), generated
+depth first in lexicographic order by ``_Walk``, which keeps the column
+reduction of each chosen prefix.  Its ``lead`` is the first row where the
+residual is nonzero, or -1 when the columns so far solve the system.  The
+column of x^a y^b is x^a (1-x)^b, zero in every row below a, and each
+basis vector of the reduction is zero below its pivot row; so a later
+column, whose a is at least that of the child, stays zero in the rows
+below a after reduction, and no later column can clear the residual's lead
+row once lead < a.  The walk therefore skips a child when 0 <= lead < a_i,
+and while lead >= 0 it draws every later index, the last one included,
+only from the indices with a <= lead.  The residual's row 0 is met only by
+the d + 1 columns with a = 0, so every generated support starts there; the
+constant term clears the residual at once, and its supports hold most of
+the solves (69 to 79 % at d = 6 to 8).  The lead rule keeps about a
+quarter of the solves of the graded-lex walk it replaced: 4,448 against
+16,456 at d = 7 and 123,078 against 426,627 at d = 8.
+
+``_Walk`` also carries the bitmask of the chosen indices, the bitmask of
+their mirrors and the set of rules (ii) and (iv) already met, draws each
+inner index only from the eligible indices with enough eligible indices
+above it and the last one only from those that meet every rule still
+missing (each skip is proved in ``_block_masks``), and hands each solve
+the reduction of all but its last column.  The swap test is one bit
+test: the mirror is smaller iff the lowest set bit of ``mask ^ mirror``
+lies in ``mirror`` (two sorted index lists of equal length first differ
+at the least element of their symmetric difference).  A candidate that
+is not generated is pruned, so the pruned count is the number of
+candidates before the stopping point minus the solved ones.
+
+The unit of work is a depth-2 prefix (first, second).  Which member of
+a swap orbit is canonical depends on the index order, and which point of
+a polytope is returned on the column order, so each feasible support is
+mapped to the graded-lex-smaller member of its orbit and solved once more
+in graded-lex column order (``_grlex_witness``): every witness is the one
+a graded-lex walk would return.
 
 The tests check the pruned enumeration against a naive one, with no pruning
-and no symmetry reduction, at small degrees, and the walk against a filter
-over every combination.
+and no symmetry reduction, at small degrees, the walk against a filter
+over every combination, and every support the lead rule skips at
+d <= 6 against the solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -187,15 +211,6 @@ def monomial_universe(degree: int) -> list[Monomial]:
     return list(line_columns(degree))
 
 
-def _witness_from_result(mons: tuple[Monomial, ...], degree: int,
-                         res: FeasibilityResult) -> SharpWitness:
-    poly = Polynomial(2, dict(zip(mons, res.coefficients)))
-    if not is_map_polynomial(poly) or poly.degree() != degree:
-        raise AssertionError(f"solver returned an invalid witness on {mons}")
-    assert_term_bound(poly)
-    return SharpWitness(Support(degree, mons), poly, res.freedom)
-
-
 _ALL_RULES = 0b1111  # top slice with even b, with odd b, pure x-power, pure y-power
 
 
@@ -206,15 +221,28 @@ def _rule_bits(mon: Monomial, degree: int) -> int:
     return top | (b == 0) << 2 | (a == 0) << 3
 
 
-class _Walk:
-    """The depth-first walk over the supports whose smallest universe index is ``first``.
+@functools.cache
+def _walk_tables(degree: int):
+    """The walk's index tables of one degree, shared by all its units.
 
-    It solves each generated support in lexicographic order and keeps one
-    column reduction per depth: ``reductions[i]`` is the reduction of the
-    first i indices of the current support, built when the first support
-    under that node is solved, so that every solve is handed the reduction
-    of all but its last column.  Children are drawn from bitmasks of
-    eligible indices:
+    Returns the universe sorted by (a, b), the bit of each index's mirror,
+    the rules each index meets, and ``upto``: upto[r] is the bitmask of the
+    indices with a <= r.  No a exceeds the degree, so upto[-1] = upto[degree]
+    holds every index, which is the draw mask when the residual is zero
+    (``lead`` = -1).
+    """
+    universe = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    index_of = {mon: i for i, mon in enumerate(universe)}
+    swap_bit = [1 << index_of[(b, a)] for a, b in universe]
+    rules = [_rule_bits(mon, degree) for mon in universe]
+    upto = [sum(1 << i for i, (a, _) in enumerate(universe) if a <= r)
+            for r in range(degree + 1)]
+    return universe, swap_bit, rules, upto
+
+
+@functools.cache
+def _block_masks(degree: int, terms: int, first: int):
+    """The draw masks ``room`` and ``supply`` of the units whose first index is ``first``.
 
     - an index whose mirror lies below ``first`` is not eligible: it is never
       in a canonical support with smallest index ``first``, as the mirrored
@@ -225,88 +253,151 @@ class _Walk:
       many (without it the walk visits every short tuple of eligible
       indices, about 2^n frames when ``terms`` is near n);
     - ``supply[missing]``: the eligible indices that meet every rule in
-      ``missing``; with one slot left after a child, the last index must meet
-      every missing rule at once, so it is drawn from these alone, and a
-      child with none above it is skipped.
+      ``missing``; the last index must meet every rule still missing at
+      once, so it is drawn from these alone.
+    """
+    _, swap_bit, rules, _ = _walk_tables(degree)
+    below = (1 << first) - 1
+    eligible = [i for i in range(first + 1, len(rules)) if not swap_bit[i] & below] \
+        if not swap_bit[first] & below else []
+    supply = [sum(1 << i for i in eligible if rules[i] & missing == missing)
+              for missing in range(_ALL_RULES + 1)]
+    room = [sum(1 << i for i in eligible[:max(len(eligible) + 1 - s, 0)])
+            for s in range(terms + 1)]
+    return room, supply
+
+
+def _grlex_witness(mons: tuple[Monomial, ...], degree: int) -> SharpWitness:
+    """The witness of the swap orbit of a feasible support, in graded-lex terms.
+
+    Which member of an orbit is swap canonical depends on the index order,
+    and which point of a polytope is returned depends on the column order.
+    So the support is mapped to the member of its orbit whose graded-lex
+    sorted monomials come first, and solved again with its columns in that
+    order: every witness, polytope vertices included, is the one of a
+    graded-lex walk, whatever the order of the walk that found it.
+    """
+    direct = sorted(mons, key=grlex_key)
+    mirrored = sorted(((b, a) for a, b in mons), key=grlex_key)
+    chosen = tuple(min(direct, mirrored, key=lambda s: list(map(grlex_key, s))))
+    table = line_columns(degree)
+    t_star, u, freedom = max_min_component([table[m] for m in chosen], table[(0, 0)])
+    poly = None if t_star is None else Polynomial(2, dict(zip(chosen, u)))
+    if poly is None or not is_map_polynomial(poly) or poly.degree() != degree:
+        raise AssertionError(f"solver returned an invalid witness on {chosen}")
+    assert_term_bound(poly)
+    return SharpWitness(Support(degree, chosen), poly, freedom)
+
+
+class _Walk:
+    """The depth-first walk over the supports that start with the indices (first, second).
+
+    Indices point into the universe sorted by (a, b).  The walk solves each
+    generated support in lexicographic order, handing the solve the
+    reduction of all but its last column.  Children are drawn from the
+    bitmasks of ``_block_masks`` and, by the lead rule of the module
+    docstring, from ``upto[lead]`` of the reduction before them.  So an
+    inner child is reduced as soon as it is drawn, as its lead bounds the
+    next draw; the child before the last index is reduced at its first
+    swap-canonical last index, so that a node with no canonical completion
+    reduces nothing (28 % fewer reductions at d = 8).
     """
 
     def __init__(self, degree: int, terms: int, first: int, deadline):
         self.degree, self.terms, self.deadline = degree, terms, deadline
+        self.universe, self.swap_bit, self.rules, self.upto = _walk_tables(degree)
+        self.room, self.supply = _block_masks(degree, terms, first)
         table = line_columns(degree)
-        self.universe = universe = list(table)
-        self.columns = list(table.values())
-        n = len(universe)
-        index_of = {mon: i for i, mon in enumerate(universe)}
-        mirror = [index_of[(b, a)] for a, b in universe]
-        self.swap_bit = [1 << k for k in mirror]
-        self.rules = [_rule_bits(mon, degree) for mon in universe]
-        eligible = [i for i in range(first + 1, n) if mirror[i] >= first] \
-            if mirror[first] >= first else []
-        self.supply = [sum(1 << i for i in eligible if self.rules[i] & missing == missing)
-                       for missing in range(_ALL_RULES + 1)]
-        self.room = [sum(1 << i for i in eligible[:max(len(eligible) + 1 - s, 0)])
-                     for s in range(terms + 1)]
-        self.reductions = [_start(table[(0, 0)], terms)]
+        self.columns = [table[mon] for mon in self.universe]
+        self.rhs = table[(0, 0)]
         self.witnesses: list[SharpWitness] = []
         self.examined = 0
 
-    def descend(self, combo: tuple[int, ...], children: int, met: int, mask: int,
-                mirror: int) -> tuple[int, ...] | None:
-        """Solve, in lexicographic order, the generated supports below ``combo``.
+    def run(self, first: int, second: int) -> tuple[int, ...] | None:
+        """Solve the generated supports that start with (first, second); see ``descend``."""
+        root = _start(self.rhs, self.terms)
+        if not self.upto[root[-1]] >> first & 1:
+            return None
+        met, mask, mirror = self.rules[first], 1 << first, self.swap_bit[first]
+        if self.terms == 2:
+            return self.finish((first,), root, 1 << second & self.supply[_ALL_RULES & ~met],
+                               mask, mirror)
+        state = _extend(root, self.columns[first], len(self.rhs))
+        draw = self.upto[state[-1]] & 1 << second
+        return self.descend((first,), state, draw & self.room[self.terms - 1], met, mask,
+                            mirror)
 
-        ``combo`` is a sorted tuple of universe indices, ``met`` the rules it
-        meets, ``mask`` and ``mirror`` the bitmasks of its indices and of their
-        mirrors; ``self.terms - len(combo)`` (at least 2) more indices are
-        appended, the first of them from the bitmask ``children``.  A support
-        is generated when it meets (ii) and (iv) and is swap canonical.
-        Returns None when every generated support is solved, and the first
-        one left unsolved when the deadline has passed.
+    def descend(self, node: tuple[int, ...], state: _Reduction, children: int, met: int,
+                mask: int, mirror: int) -> tuple[int, ...] | None:
+        """Solve, in lexicographic order, the generated supports below ``node``.
+
+        ``node`` is a sorted tuple of universe indices, ``state`` its
+        reduction, ``met`` the rules it meets, ``mask`` and ``mirror`` the
+        bitmasks of its indices and of their mirrors; ``self.terms -
+        len(node)`` (at least 2) more indices are appended, the first of them
+        from the bitmask ``children``.  A support is generated when it meets
+        (ii) and (iv), is swap canonical, and each index has a <= ``lead``
+        of the reduction before it when that lead is not -1.  Returns None when every
+        generated support is solved, and the first one left unsolved when
+        the deadline has passed.
         """
-        depth = len(combo)
-        slots = self.terms - depth
-        rules, swap_bit, supply, reductions = \
-            self.rules, self.swap_bit, self.supply, self.reductions
-        degree, deadline, universe = self.degree, self.deadline, self.universe
+        slots = self.terms - len(node)
+        rules, swap_bit, columns, upto = self.rules, self.swap_bit, self.columns, self.upto
+        m = len(self.rhs)
         while children:
             low = children & -children
             children ^= low
             i = low.bit_length() - 1
             now = met | rules[i]
             if slots > 2:
-                del reductions[depth + 1:]
-                stop = self.descend(combo + (i,), self.room[slots - 1] >> i + 1 << i + 1, now,
-                                    mask | low, mirror | swap_bit[i])
-                if stop is not None:
-                    return stop
-                continue
-            allowed = supply[_ALL_RULES & ~now] >> i + 1 << i + 1
-            if not allowed:
-                continue
-            del reductions[depth + 1:]
-            node, mask_i, mirror_i = combo + (i,), mask | low, mirror | swap_bit[i]
-            prefix = None
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                k = low.bit_length() - 1
-                mirrored = mirror_i | swap_bit[k]
-                diff = (mask_i | low) ^ mirrored
-                if diff & -diff & mirrored:
+                child = _extend(state, columns[i], m)
+                draw = self.room[slots - 1] >> i + 1 << i + 1 & upto[child[-1]]
+                if not draw:
                     continue
-                # before every solve: one solve can take seconds at high freedom
-                if deadline is not None and time.monotonic() > deadline:
-                    return node + (k,)
-                if prefix is None:
-                    columns, m = self.columns, len(self.columns[0])
-                    for j in node[len(reductions) - 1:]:
-                        reductions.append(_extend(reductions[-1], columns[j], m))
-                    prefix = reductions[-1]
-                    head = tuple(map(universe.__getitem__, node))
-                self.examined += 1
-                mons = head + (universe[k],)
-                res = solve_support_system(mons, degree, prefix)
-                if res.feasible:
-                    self.witnesses.append(_witness_from_result(mons, degree, res))
+                stop = self.descend(node + (i,), child, draw, now, mask | low,
+                                    mirror | swap_bit[i])
+            else:
+                draw = self.supply[_ALL_RULES & ~now] >> i + 1 << i + 1
+                if not draw:
+                    continue
+                stop = self.finish(node + (i,), state, draw, mask | low, mirror | swap_bit[i])
+            if stop is not None:
+                return stop
+        return None
+
+    def finish(self, node: tuple[int, ...], parent: _Reduction, last: int, mask: int,
+               mirror: int) -> tuple[int, ...] | None:
+        """Solve ``node`` + (k,) for each swap-canonical k in the bitmask ``last``.
+
+        ``parent`` is the reduction of ``node`` without its last index; the
+        reduction of ``node`` is built at the first canonical k, and its lead
+        then bounds k and every later one.
+        """
+        swap_bit, universe, degree, deadline = \
+            self.swap_bit, self.universe, self.degree, self.deadline
+        prefix = None
+        while last:
+            low = last & -last
+            last ^= low
+            k = low.bit_length() - 1
+            mirrored = mirror | swap_bit[k]
+            diff = (mask | low) ^ mirrored
+            if diff & -diff & mirrored:
+                continue
+            if prefix is None:
+                prefix = _extend(parent, self.columns[node[-1]], len(self.rhs))
+                allowed = self.upto[prefix[-1]]
+                last &= allowed
+                if not low & allowed:
+                    continue
+                head = tuple(map(universe.__getitem__, node))
+            # before every solve: one solve can take seconds at high freedom
+            if deadline is not None and time.monotonic() > deadline:
+                return node + (k,)
+            self.examined += 1
+            mons = head + (universe[k],)
+            if solve_support_system(mons, degree, prefix).feasible:
+                self.witnesses.append(_grlex_witness(mons, degree))
         return None
 
 
@@ -323,22 +414,22 @@ def _lex_rank(combo: tuple[int, ...], n: int) -> int:
                for p, (prev, cur) in enumerate(zip(combo, combo[1:])))
 
 
-def _search_block(degree: int, terms: int, first: int, deadline):
-    """Enumerate the supports whose smallest universe index is ``first``.
+def _search_block(degree: int, terms: int, first: int, second: int, deadline):
+    """Enumerate the supports whose two smallest indices are ``first`` and ``second``.
 
-    Only the supports that meet (ii) and (iv) and are swap canonical are
-    generated, in lexicographic order; every other candidate is pruned, so
-    ``pruned`` is the number of candidates before the stopping point minus
-    ``examined``.
+    Only the generated supports are solved, in lexicographic order; every
+    other candidate is pruned, so ``pruned`` is the number of candidates
+    before the stopping point minus ``examined``.  The candidates of a unit
+    share their first two indices, so the rank of a stop among them is the
+    ``_lex_rank`` of its tail from ``second`` on.
     """
-    # a task taken after the deadline does no work: enumerating the pruned
-    # candidates of one first index alone can take seconds
+    # a unit taken after the deadline does no work
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
     walk = _Walk(degree, terms, first, deadline)
-    stop = walk.descend((), 1 << first, 0, 0, 0)
+    stop = walk.run(first, second)
     n = len(walk.universe)
-    done = math.comb(n - 1 - first, terms - 1) if stop is None else _lex_rank(stop, n)
+    done = math.comb(n - 1 - second, terms - 2) if stop is None else _lex_rank(stop[1:], n)
     return walk.witnesses, walk.examined, done - walk.examined, stop is None
 
 
@@ -347,11 +438,14 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     """All feasible size-``terms`` supports at the given degree, up to swap.
 
     Returns one witness per canonical support, a flag saying whether the
-    enumeration ran to completion, and counters.  The unit of work is one
-    first universe index: the supports whose smallest index it is.  With
-    ``shards`` > 1 each free worker takes the next first index; the results
-    go through the same merge as a serial run and are sorted into canonical
-    order, so the output does not depend on the number of shards.
+    enumeration ran to completion, and counters.  The unit of work is a
+    depth-2 prefix: the supports whose two smallest indices are (first,
+    second).  Only the d + 1 first indices with a = 0 do any work, and the
+    one of the constant term holds most of it, so first-index units would
+    leave two workers unbalanced.  With ``shards`` > 1 each free worker
+    takes the next unit; the results go through the same merge as a serial
+    run and are sorted into canonical order, so the output does not depend
+    on the number of shards.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
@@ -363,15 +457,17 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
         raise ValueError(f"budget_seconds must be None or at least 0, got {budget_seconds}")
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
-    universe = monomial_universe(degree)
+    n = len(monomial_universe(degree))
     stats = SearchStats()
     witnesses: list[SharpWitness] = []
     exhaustive = True
-    if terms <= len(universe):
-        tasks = [(degree, terms, first, deadline) for first in range(len(universe))]
+    if terms <= n:
+        # a second index above n - terms + 1 leaves too few indices after it
+        tasks = [(degree, terms, first, second, deadline)
+                 for first in range(n) for second in range(first + 1, n + 2 - terms)]
         # output does not depend on the shard count, so more workers than
-        # first indices or cores would only cost memory and process slots
-        shards = min(shards, len(universe), os.cpu_count() or 1)
+        # units or cores would only cost memory and process slots
+        shards = min(shards, len(tasks), os.cpu_count() or 1)
         if shards <= 1:
             results = starmap(_search_block, tasks)
         else:

@@ -5,8 +5,9 @@ library code it checks: radical/binomial expansions instead of recurrences,
 the defining recurrence instead of a closed form, brute-force scans instead
 of continued fractions and unit classes, sympy instead of the in-package
 arithmetic, whole-system elimination instead of column-by-column reduction,
-the basis x^k y^(d-k) instead of powers of x, and a filter over every
-combination instead of a pruned depth-first walk.
+the basis x^k y^(d-k) instead of powers of x, a filter over every
+combination instead of a pruned depth-first walk, and row-by-row echelon
+forms instead of the column reduction's lead row.
 """
 
 from __future__ import annotations
@@ -388,19 +389,45 @@ def max_min_by_rows(columns, rhs):
     return t_star, u, freedom
 
 
-def search_block_by_combinations(degree: int, terms: int, first: int, deadline):
+def first_unsolvable_row(columns, rhs) -> int:
+    """The least r such that rows 0..r of A u = rhs have no solution, or -1 if none.
+
+    The rows of [A | rhs] are added one at a time to a row echelon form in
+    Fractions; row r makes the truncated system inconsistent iff it reduces
+    to (0, ..., 0 | nonzero), and then every longer truncation stays
+    inconsistent.
+    """
+    n = len(columns)
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for r, target in enumerate(rhs):
+        row = [Fraction(c[r]) for c in columns] + [Fraction(target)]
+        for p, e in echelon:
+            if row[p]:
+                factor = row[p] / e[p]
+                row = [x - factor * y for x, y in zip(row, e)]
+        p = next((j for j in range(n) if row[j]), None)
+        if p is not None:
+            echelon.append((p, row))
+        elif row[n]:
+            return r
+    return -1
+
+
+def search_block_by_combinations(degree: int, terms: int, first: int, second: int, deadline):
     """``search._search_block`` by filtering every combination of the later indices.
 
-    Each candidate is built by ``itertools.combinations``, tested against the
-    four rule masks, and compared with its mirror, sorted; the survivors are
-    solved in the same lexicographic order, with the deadline checked at the
-    start and before every solve.
+    Indices point into the universe sorted by (a, b).  Each candidate is
+    built by ``itertools.combinations``, tested against the four rule
+    masks, compared with its mirror, sorted, and tested for the lead rule:
+    for every proper prefix whose truncated systems first fail at row r
+    (``first_unsolvable_row``), the next index must have a <= r.  The
+    survivors are solved in the same lexicographic order, with the deadline
+    checked at the start and before every solve.
     """
-    # a task taken after the deadline does no work: enumerating the pruned
-    # candidates of one first index alone can take seconds
+    # a unit taken after the deadline does no work
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
-    universe = monomial_universe(degree)
+    universe = sorted(monomial_universe(degree))
     n_universe = len(universe)
     index_of = {m: i for i, m in enumerate(universe)}
     top_even = top_odd = pure_x = pure_y = 0
@@ -416,21 +443,33 @@ def search_block_by_combinations(degree: int, terms: int, first: int, deadline):
             pure_y |= 1 << i
     swap_index = [index_of[(b, a)] for (a, b) in universe]
     bit = [1 << i for i in range(n_universe)]
+    table = line_columns(degree)
+    rhs = table[(0, 0)]
+
+    @functools.cache
+    def lead(prefix):
+        return first_unsolvable_row([table[universe[i]] for i in prefix], rhs)
+
+    def closes_rows(combo):
+        for k in range(1, len(combo)):
+            r = lead(combo[:k])
+            if r >= 0 and universe[combo[k]][0] > r:
+                return False
+        return True
 
     witnesses: list[SharpWitness] = []
     examined = pruned = 0
-    mask0 = bit[first]
-    for rest in itertools.combinations(range(first + 1, n_universe), terms - 1):
-        mask = mask0
-        for i in rest:
+    for rest in itertools.combinations(range(second + 1, n_universe), terms - 2):
+        combo = (first, second) + rest
+        mask = 0
+        for i in combo:
             mask |= bit[i]
         if not (mask & top_even and mask & top_odd
                 and mask & pure_x and mask & pure_y):
             pruned += 1
             continue
-        combo = (first,) + rest
         mirrored = sorted(swap_index[i] for i in combo)
-        if mirrored < list(combo):
+        if mirrored < list(combo) or not closes_rows(combo):
             pruned += 1
             continue
         # before every solve: one solve can take seconds at high freedom
@@ -438,7 +477,6 @@ def search_block_by_combinations(degree: int, terms: int, first: int, deadline):
             return witnesses, examined, pruned, False
         examined += 1
         mons = tuple(universe[i] for i in combo)
-        res = search.solve_support_system(mons, degree)
-        if res.feasible:
-            witnesses.append(search._witness_from_result(mons, degree, res))
+        if search.solve_support_system(mons, degree).feasible:
+            witnesses.append(search._grlex_witness(mons, degree))
     return witnesses, examined, pruned, True

@@ -15,6 +15,7 @@ from sharpmap import (
     even_u,
     f,
     f_coefficient,
+    generalized_solutions,
     h,
     h_coeff_closed,
     h_coeff_inequality_holds,
@@ -264,6 +265,23 @@ class TestRatio4:
         # degrees 11, 373 and 12,671
         assert ratio4_sites(10_000) == [(5, 1), (186, 54), (6335, 1855)]
 
+    def test_closed_form_matches_the_coefficients_up_to_10000(self):
+        # every site of the Pell listing decided again from the binomials
+        # K(r, s) themselves, the ones ratio4_sites no longer builds
+        from sharpmap import coefficient_ratio
+        want = []
+        for sol in generalized_solutions(8, -7, 2 * 10_000 + 1):
+            r = sol.b // 2
+            s = r - (sol.a + 1) // 8
+            if sol.b % 2 and 1 <= s <= r - 2 and coefficient_ratio(r, s) == 4 \
+                    and f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s):
+                want.append((r, s))
+        assert ratio4_sites(10_000) == want
+
+    def test_sites_up_to_a_million(self):
+        # K(215220, 63036) has about 73,000 digits; the closed form never builds it
+        assert ratio4_sites(10 ** 6) == [(5, 1), (186, 54), (6335, 1855), (215220, 63036)]
+
     def test_degree_373_has_three_classes(self):
         p = ratio4_construct(186, 54)
         assert is_map_polynomial(p)
@@ -327,7 +345,7 @@ class TestLadder:
 
 class TestComposition:
     # the certificate's counters: (examined, pruned)
-    COUNTERS = {4: (103, 1262), 6: (5882, 92398), 8: (426627, 7718433)}
+    COUNTERS = {4: (48, 1317), 6: (2103, 96177), 8: (123078, 8021982)}
 
     @pytest.mark.parametrize("degree, count", [(4, 4), (6, 10), (8, 24)])
     def test_even_certificates_are_compositions_of_odd_ones(self, degree, count):

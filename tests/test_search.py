@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -317,7 +318,7 @@ class TestEnumerate:
         # d = 4 has 15 universe monomials: the core count binds
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         clamped, _, _ = enumerate_sharp(4, 4, shards=10_000)
-        # d = 1 has 3 universe monomials: the universe size binds
+        # d = 1 has 3 units, one per pair of its 3 monomials: the unit count binds
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         enumerate_sharp(1, 2, shards=10_000)
         # an unknown core count runs serially
@@ -362,11 +363,12 @@ class TestWalk:
             return solve(mons, d, prefix) if terms < 10 else search._INFEASIBLE
 
         monkeypatch.setattr(search, "solve_support_system", recording)
-        for first in range(len(monomial_universe(degree))):
-            got = search._search_block(degree, terms, first, None)
+        n = len(monomial_universe(degree))
+        for first, second in combinations(range(n), 2):
+            got = search._search_block(degree, terms, first, second, None)
             walk_order = solved[:]
             solved.clear()
-            assert got == search_block_by_combinations(degree, terms, first, None)
+            assert got == search_block_by_combinations(degree, terms, first, second, None)
             assert walk_order == solved
             solved.clear()
 
@@ -378,13 +380,14 @@ class TestWalk:
 
     @pytest.mark.parametrize("calls", [0, 1, 2, 3, 7, 40, 300])
     def test_budget_stop_counts_match_the_filter(self, monkeypatch, calls):
-        # the deadline is read at block start and before every solve, so a
-        # stop leaves the candidates after it uncounted in both
-        for first in (0, 3, 9):
+        # the deadline is read at unit start and before every solve, so a
+        # stop leaves the candidates after it uncounted in both; the units
+        # solve 252, 42 and 8 supports and the last two find witnesses
+        for first, second in ((0, 1), (1, 12), (3, 8)):
             self.clock_after(monkeypatch, calls)
-            got = search._search_block(6, 5, first, 1)
+            got = search._search_block(6, 5, first, second, 1)
             self.clock_after(monkeypatch, calls)
-            want = search_block_by_combinations(6, 5, first, 1)
+            want = search_block_by_combinations(6, 5, first, second, 1)
             assert got == want
 
     @pytest.mark.parametrize("calls", [1, 2, 5, 120, 2000])
@@ -436,9 +439,10 @@ class TestWalk:
             assert len(checked) == result.certificate.stats.examined > 0
 
     def test_one_reduction_per_solved_prefix(self, monkeypatch):
-        # a prefix is reduced when the first support under it is solved and
-        # kept for the rest, and a node with no solved support reduces
-        # nothing (building at every visited node would make 16,176 at d = 7)
+        # the walk reduces an inner child as soon as it draws it, to read its
+        # lead row, and the child before the last index at its first
+        # swap-canonical completion; every solve is handed the one reduction
+        # of its prefix
         built, solved, calls = [], [], []
         extend, descend = search._extend, search._Walk.descend
 
@@ -447,7 +451,7 @@ class TestWalk:
             return extend(state, column, m)
 
         def recording(mons, d, prefix=None, solve=search.solve_support_system):
-            solved.append(mons)
+            solved.append((mons, prefix))
             return solve(mons, d, prefix)
 
         def visiting(walk, *args):
@@ -458,21 +462,25 @@ class TestWalk:
         monkeypatch.setattr(search, "solve_support_system", recording)
         monkeypatch.setattr(search._Walk, "descend", visiting)
         uniqueness_status(7)
-        prefixes = {mons[:k] for mons in solved for k in range(1, len(mons))}
-        assert Counter(map(len, prefixes)) == {1: 17, 2: 242, 3: 2645, 4: 10375}
-        assert len(built) == len(prefixes) == 13279
-        # the walk's cost in a count that timing noise cannot move: one
-        # frame per visited node with 2 or more slots left.  Also skipping
-        # a child after which a missing rule is met by no later index made
-        # 3,487; one frame per level, the last-index loop unnested, made
-        # 17,115.  A change to the walk states its new count here.
-        assert len(calls) == 4037
+        prefixes = {mons[:k] for mons, _ in solved for k in range(1, len(mons))}
+        assert Counter(map(len, prefixes)) == {1: 7, 2: 67, 3: 462, 4: 2089}
+        assert len({id(prefix) for _, prefix in solved}) == \
+            len({mons[:-1] for mons, _ in solved})
+        # the walk's cost in counts that timing noise cannot move: reductions
+        # built, and one frame per visited node with 2 or more slots left.
+        # The graded-lex walk, which built a prefix's reduction when the
+        # first support under it was solved, made 13,279 and 4,037; reducing
+        # the child before the last index as soon as it is drawn made 6,831
+        # and 1,500.  A change to the walk states its new counts here.
+        assert len(built) == 5103
+        assert len(calls) == 1500
 
     def test_frames_at_high_term_counts(self, monkeypatch):
         # a child needs as many eligible indices above it as slots it
-        # leaves: without that skip the walk visits every short tuple of
-        # eligible indices (1,757,057 frames here), and a room table that
-        # wraps round in blocks with few eligible indices made 2,271
+        # leaves: without that skip the graded-lex walk visited every short
+        # tuple of eligible indices (1,757,057 frames here), and a room table
+        # that wraps round in blocks with few eligible indices made 2,271;
+        # the graded-lex walk made 1,162
         calls = []
         descend = search._Walk.descend
 
@@ -486,7 +494,7 @@ class TestWalk:
                             lambda mons, d, prefix=None: search._INFEASIBLE)
         _, complete, stats = enumerate_sharp(5, 19)
         assert complete and (stats.examined, stats.pruned) == (111, 99)
-        assert len(calls) == 1162
+        assert len(calls) == 1126
 
 
 class TestPruningRules:
@@ -509,6 +517,33 @@ class TestPruningRules:
                 has_pure_y = any(a == 0 for a, _ in combo)
                 if not (has_pure_x and has_pure_y):
                     assert not solve_support_system(combo, d).feasible, combo
+
+    @pytest.mark.parametrize("degree, terms",
+                             [(d, min_term_count(d)) for d in range(1, 7)]
+                             + [(d, min_term_count(d) + 1) for d in range(1, 6)])
+    def test_lead_rule_skips_only_infeasible_supports(self, monkeypatch, degree, terms):
+        # every support that meets (ii), (iv) and swap canonicity in the
+        # (a, b) order, but that the walk does not solve, is infeasible
+        solved = set()
+
+        def recording(mons, d, prefix=None, solve=search.solve_support_system):
+            solved.add(mons)
+            return solve(mons, d, prefix)
+
+        monkeypatch.setattr(search, "solve_support_system", recording)
+        enumerate_sharp(degree, terms)
+        monkeypatch.undo()
+        skipped = 0
+        for combo in combinations(sorted(monomial_universe(degree)), terms):
+            top = {b % 2 for a, b in combo if a + b == degree}
+            if top != {0, 1} or all(b for _, b in combo) or all(a for a, _ in combo):
+                continue
+            if sorted((b, a) for a, b in combo) < list(combo) or combo in solved:
+                continue
+            skipped += 1
+            assert not solve_support_system(combo, degree).feasible, combo
+        if degree >= 3:  # the rule skips something
+            assert skipped > 0
 
     def test_top_slice_parity_rule(self):
         for d in (3, 4, 5):
@@ -626,8 +661,8 @@ class TestUniqueness:
         witnesses, exhaustive, stats = enumerate_sharp(9, 6, budget_seconds=0.05)
         assert not exhaustive
         assert stats.examined + stats.pruned > 0
-        # a first index taken after the deadline does no work; enumerating
-        # the pruned candidates of every later index takes seconds at d = 9
+        # a unit taken after the deadline does no work; walking every later
+        # unit would take seconds at d = 9
         assert time.monotonic() - start < 3
 
 
@@ -659,3 +694,17 @@ class TestSecondEngine:
         assert any(w.freedom > 0 for w in plain[0])
         assert self.witnesses(other[0]) == self.witnesses(plain[0])
         assert other[2].examined == plain[2].examined
+
+
+@pytest.mark.skipif(not os.environ.get("SHARPMAP_TEST_DEGREE10"),
+                    reason="opt-in: the d = 10 certificate takes minutes; "
+                           "set SHARPMAP_TEST_DEGREE10=1")
+def test_degree10_certificate_is_pinned():
+    # 16 classes, every witness a point; the digest is that of the
+    # graded-lex walk, which took 399 s on 2 shards
+    result = uniqueness_status(10, shards=2)
+    assert result.status == FAILS and result.class_count == 16
+    witnesses = [{"support": [list(m) for m in w.support.monomials], "freedom": w.freedom,
+                  "poly": w.polynomial.to_json_dict()} for w in result.certificate.witnesses]
+    digest = hashlib.sha256(json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
+    assert digest == "5193239278f544e247662c3143a362b57942b44651817521197e9ee596c83244"
