@@ -261,8 +261,10 @@ def signature_impossible(requested: Signature, max_degree: int) -> bool:
     linear program (flip the sign-designated columns of
     ``line_columns(max_degree)``; a witness with that exact sign pattern
     exists iff the max-min optimum is positive).  Sound only as a
-    verification up to the stated degree.
+    verification up to the stated degree; negative input raises ValueError.
     """
+    if max_degree < 0 or min(requested) < 0:
+        raise ValueError(f"need max_degree >= 0 and counts >= 0, got {max_degree}, {requested}")
     count = requested.n_plus + requested.n_minus
     if requested.n_plus == 0:
         # all-nonpositive coefficients give a nonpositive value at points of

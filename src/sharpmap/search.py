@@ -57,13 +57,18 @@ the solves (69 to 79 % at d = 6 to 8).  The lead rule keeps about a
 quarter of the solves of the graded-lex walk it replaced: 4,448 against
 16,456 at d = 7 and 123,078 against 426,627 at d = 8.
 
-``_Walk`` also carries the bitmask of the chosen indices, the bitmask of
-their mirrors and the set of rules (ii) and (iv) already met, draws each
-inner index only from the eligible indices with enough eligible indices
-above it and the last one only from those that meet every rule still
-missing (each skip is proved in ``_block_masks``), and hands each solve
-the reduction of all but its last column.  The swap test is one bit
-test: the mirror is smaller iff the lowest set bit of ``mask ^ mirror``
+``_Walk.descend``, the walk's one method, also carries the bitmask of the
+chosen indices, the bitmask of their mirrors and the set of rules (ii)
+and (iv) already met.  It draws each inner index only from the eligible
+indices with enough eligible indices above it and the last one only from
+those that meet every rule still missing (each skip is proved in
+``_block_masks``).  Every node is reduced lazily, by one rule: its
+reduction is built from its parent's at its first admissible child (one
+whose own draw is not empty, or at the last level one that is swap
+canonical), and its lead then filters that child and every later one.
+So a node with no admissible child reduces nothing, and each solve is
+handed the reduction of all but its last column.  The swap test is one
+bit test: the mirror is smaller iff the lowest set bit of ``mask ^ mirror``
 lies in ``mirror`` (two sorted index lists of equal length first differ
 at the least element of their symmetric difference).  A candidate that
 is not generated is pruned, so the pruned count is the number of
@@ -223,48 +228,52 @@ def _rule_bits(mon: Monomial, degree: int) -> int:
 
 @functools.cache
 def _walk_tables(degree: int):
-    """The walk's index tables of one degree, shared by all its units.
+    """The walk's tables of one degree, shared by all its units.
 
-    Returns the universe sorted by (a, b), the bit of each index's mirror,
-    the rules each index meets, and ``upto``: upto[r] is the bitmask of the
-    indices with a <= r.  No a exceeds the degree, so upto[-1] = upto[degree]
-    holds every index, which is the draw mask when the residual is zero
+    Returns the universe sorted by (a, b), the column of each index (the
+    first, the constant's, is the right-hand side), the bit of each index's
+    mirror, the rules each index meets, and ``upto``: upto[r] is the bitmask
+    of the indices with a <= r.  No a exceeds the degree, so upto[-1] =
+    upto[degree] holds every index, the draw mask when the residual is zero
     (``lead`` = -1).
     """
     universe = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
     index_of = {mon: i for i, mon in enumerate(universe)}
+    columns = list(map(line_columns(degree).__getitem__, universe))
     swap_bit = [1 << index_of[(b, a)] for a, b in universe]
     rules = [_rule_bits(mon, degree) for mon in universe]
     upto = [sum(1 << i for i, (a, _) in enumerate(universe) if a <= r)
             for r in range(degree + 1)]
-    return universe, swap_bit, rules, upto
+    return universe, columns, swap_bit, rules, upto
 
 
 @functools.cache
 def _block_masks(degree: int, terms: int, first: int):
-    """The draw masks ``room`` and ``supply`` of the units whose first index is ``first``.
+    """The draw table of the units whose first index is ``first``.
+
+    ``draws[s][met]`` is the bitmask an index is drawn from when s indices,
+    itself included, remain and the indices before it meet the rules ``met``:
 
     - an index whose mirror lies below ``first`` is not eligible: it is never
       in a canonical support with smallest index ``first``, as the mirrored
       sorted list would then start below ``first`` (and when the mirror of
       ``first`` lies below it, no index is eligible);
-    - ``room[s]``: the eligible indices with at least s - 1 eligible
-      indices above them, as a child that leaves s - 1 slots needs that
-      many (without it the walk visits every short tuple of eligible
-      indices, about 2^n frames when ``terms`` is near n);
-    - ``supply[missing]``: the eligible indices that meet every rule in
-      ``missing``; the last index must meet every rule still missing at
-      once, so it is drawn from these alone.
+    - for s > 1, the eligible indices with at least s - 1 eligible indices
+      above them, as a child that leaves s - 1 slots needs that many
+      (without it the walk visits every short tuple of eligible indices,
+      about 2^n frames when ``terms`` is near n);
+    - for s = 1, the eligible indices that meet every rule missing from
+      ``met``, as the last index must meet them all at once.
     """
-    _, swap_bit, rules, _ = _walk_tables(degree)
+    _, _, swap_bit, rules, _ = _walk_tables(degree)
     below = (1 << first) - 1
     eligible = [i for i in range(first + 1, len(rules)) if not swap_bit[i] & below] \
         if not swap_bit[first] & below else []
-    supply = [sum(1 << i for i in eligible if rules[i] & missing == missing)
-              for missing in range(_ALL_RULES + 1)]
-    room = [sum(1 << i for i in eligible[:max(len(eligible) + 1 - s, 0)])
-            for s in range(terms + 1)]
-    return room, supply
+    draws = [[sum(1 << i for i in eligible[:max(len(eligible) + 1 - s, 0)])] * (_ALL_RULES + 1)
+             for s in range(terms)]
+    draws[1] = [sum(1 << i for i in eligible if rules[i] | met == _ALL_RULES)
+                for met in range(_ALL_RULES + 1)]
+    return draws
 
 
 def _grlex_witness(mons: tuple[Monomial, ...], degree: int) -> SharpWitness:
@@ -292,112 +301,74 @@ def _grlex_witness(mons: tuple[Monomial, ...], degree: int) -> SharpWitness:
 class _Walk:
     """The depth-first walk over the supports that start with the indices (first, second).
 
-    Indices point into the universe sorted by (a, b).  The walk solves each
-    generated support in lexicographic order, handing the solve the
-    reduction of all but its last column.  Children are drawn from the
-    bitmasks of ``_block_masks`` and, by the lead rule of the module
-    docstring, from ``upto[lead]`` of the reduction before them.  So an
-    inner child is reduced as soon as it is drawn, as its lead bounds the
-    next draw; the child before the last index is reduced at its first
-    swap-canonical last index, so that a node with no canonical completion
-    reduces nothing (28 % fewer reductions at d = 8).
+    Indices point into the universe sorted by (a, b).  ``descend`` solves the
+    generated supports in lexicographic order, drawing children from the
+    bitmasks of ``_block_masks`` and from ``upto[lead]`` of the reduction
+    before them; it reduces each node at its first admissible child, so a
+    node with none reduces nothing.
     """
 
     def __init__(self, degree: int, terms: int, first: int, deadline):
         self.degree, self.terms, self.deadline = degree, terms, deadline
-        self.universe, self.swap_bit, self.rules, self.upto = _walk_tables(degree)
-        self.room, self.supply = _block_masks(degree, terms, first)
-        table = line_columns(degree)
-        self.columns = [table[mon] for mon in self.universe]
-        self.rhs = table[(0, 0)]
+        self.universe, self.columns, self.swap_bit, self.rules, self.upto = _walk_tables(degree)
+        self.draws = _block_masks(degree, terms, first)
         self.witnesses: list[SharpWitness] = []
         self.examined = 0
 
-    def run(self, first: int, second: int) -> tuple[int, ...] | None:
-        """Solve the generated supports that start with (first, second); see ``descend``."""
-        root = _start(self.rhs, self.terms)
-        if not self.upto[root[-1]] >> first & 1:
-            return None
-        met, mask, mirror = self.rules[first], 1 << first, self.swap_bit[first]
-        if self.terms == 2:
-            return self.finish((first,), root, 1 << second & self.supply[_ALL_RULES & ~met],
-                               mask, mirror)
-        state = _extend(root, self.columns[first], len(self.rhs))
-        draw = self.upto[state[-1]] & 1 << second
-        return self.descend((first,), state, draw & self.room[self.terms - 1], met, mask,
-                            mirror)
-
-    def descend(self, node: tuple[int, ...], state: _Reduction, children: int, met: int,
+    def descend(self, node: tuple[int, ...], parent: _Reduction, children: int, met: int,
                 mask: int, mirror: int) -> tuple[int, ...] | None:
         """Solve, in lexicographic order, the generated supports below ``node``.
 
-        ``node`` is a sorted tuple of universe indices, ``state`` its
-        reduction, ``met`` the rules it meets, ``mask`` and ``mirror`` the
-        bitmasks of its indices and of their mirrors; ``self.terms -
-        len(node)`` (at least 2) more indices are appended, the first of them
-        from the bitmask ``children``.  A support is generated when it meets
-        (ii) and (iv), is swap canonical, and each index has a <= ``lead``
-        of the reduction before it when that lead is not -1.  Returns None when every
-        generated support is solved, and the first one left unsolved when
-        the deadline has passed.
+        ``node`` is a sorted tuple of universe indices, ``parent`` the
+        reduction of ``node[:-1]``, ``met`` the rules ``node`` meets, ``mask``
+        and ``mirror`` the bitmasks of its indices and of their mirrors;
+        ``self.terms - len(node)`` (at least 1) more indices are appended, the
+        first of them from the bitmask ``children``.  The reduction of
+        ``node`` is built at its first admissible child, one whose own draw
+        is not empty or, at the last level, one that is swap canonical; its
+        lead then filters that child and every later one.  A support is
+        generated when it meets (ii) and (iv), is swap canonical, and each
+        index has a <= ``lead`` of the reduction before it when that lead is
+        not -1.  Returns None when every generated support is solved, and the
+        first one left unsolved when the deadline has passed.
         """
-        slots = self.terms - len(node)
-        rules, swap_bit, columns, upto = self.rules, self.swap_bit, self.columns, self.upto
-        m = len(self.rhs)
+        left = self.terms - len(node) - 1  # indices after the child
+        rules, swap_bit, upto, universe = self.rules, self.swap_bit, self.upto, self.universe
+        state = None
         while children:
             low = children & -children
             children ^= low
             i = low.bit_length() - 1
-            now = met | rules[i]
-            if slots > 2:
-                child = _extend(state, columns[i], m)
-                draw = self.room[slots - 1] >> i + 1 << i + 1 & upto[child[-1]]
+            if left:
+                now = met | rules[i]
+                draw = self.draws[left][now] >> i + 1 << i + 1
                 if not draw:
                     continue
-                stop = self.descend(node + (i,), child, draw, now, mask | low,
-                                    mirror | swap_bit[i])
             else:
-                draw = self.supply[_ALL_RULES & ~now] >> i + 1 << i + 1
-                if not draw:
+                mirrored = mirror | swap_bit[i]
+                diff = (mask | low) ^ mirrored
+                if diff & -diff & mirrored:
                     continue
-                stop = self.finish(node + (i,), state, draw, mask | low, mirror | swap_bit[i])
-            if stop is not None:
-                return stop
-        return None
-
-    def finish(self, node: tuple[int, ...], parent: _Reduction, last: int, mask: int,
-               mirror: int) -> tuple[int, ...] | None:
-        """Solve ``node`` + (k,) for each swap-canonical k in the bitmask ``last``.
-
-        ``parent`` is the reduction of ``node`` without its last index; the
-        reduction of ``node`` is built at the first canonical k, and its lead
-        then bounds k and every later one.
-        """
-        swap_bit, universe, degree, deadline = \
-            self.swap_bit, self.universe, self.degree, self.deadline
-        prefix = None
-        while last:
-            low = last & -last
-            last ^= low
-            k = low.bit_length() - 1
-            mirrored = mirror | swap_bit[k]
-            diff = (mask | low) ^ mirrored
-            if diff & -diff & mirrored:
-                continue
-            if prefix is None:
-                prefix = _extend(parent, self.columns[node[-1]], len(self.rhs))
-                allowed = self.upto[prefix[-1]]
-                last &= allowed
+            if state is None:
+                state = _extend(parent, self.columns[node[-1]], len(self.columns[0]))
+                allowed = upto[state[-1]]
+                head = tuple(map(universe.__getitem__, node))
+                children &= allowed
                 if not low & allowed:
                     continue
-                head = tuple(map(universe.__getitem__, node))
+            if left:
+                stop = self.descend(node + (i,), state, draw, now, mask | low,
+                                    mirror | swap_bit[i])
+                if stop is not None:
+                    return stop
+                continue
             # before every solve: one solve can take seconds at high freedom
-            if deadline is not None and time.monotonic() > deadline:
-                return node + (k,)
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                return node + (i,)
             self.examined += 1
-            mons = head + (universe[k],)
-            if solve_support_system(mons, degree, prefix).feasible:
-                self.witnesses.append(_grlex_witness(mons, degree))
+            mons = head + (universe[i],)
+            if solve_support_system(mons, self.degree, state).feasible:
+                self.witnesses.append(_grlex_witness(mons, self.degree))
         return None
 
 
@@ -427,7 +398,11 @@ def _search_block(degree: int, terms: int, first: int, second: int, deadline):
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
     walk = _Walk(degree, terms, first, deadline)
-    stop = walk.run(first, second)
+    root = _start(walk.columns[0], terms)
+    stop, met = None, walk.rules[first]
+    if walk.upto[root[-1]] >> first & 1:
+        stop = walk.descend((first,), root, 1 << second & walk.draws[terms - 1][met], met,
+                            1 << first, walk.swap_bit[first])
     n = len(walk.universe)
     done = math.comb(n - 1 - second, terms - 2) if stop is None else _lex_rank(stop[1:], n)
     return walk.witnesses, walk.examined, done - walk.examined, stop is None
@@ -440,12 +415,14 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     Returns one witness per canonical support, a flag saying whether the
     enumeration ran to completion, and counters.  The unit of work is a
     depth-2 prefix: the supports whose two smallest indices are (first,
-    second).  Only the d + 1 first indices with a = 0 do any work, and the
-    one of the constant term holds most of it, so first-index units would
-    leave two workers unbalanced.  With ``shards`` > 1 each free worker
-    takes the next unit; the results go through the same merge as a serial
-    run and are sorted into canonical order, so the output does not depend
-    on the number of shards.
+    second).  Only the units whose first index has a = 0 can start a
+    support, so only they are dispatched, and the candidates of the rest
+    count as pruned when the run is exhaustive.  The constant term's units
+    hold most of the work, so first-index units would leave two workers
+    unbalanced.  With ``shards`` > 1 each free worker takes the next unit;
+    the results go through the same merge as a serial run and are sorted
+    into canonical order, so the output does not depend on the number of
+    shards.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
@@ -464,7 +441,7 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     if terms <= n:
         # a second index above n - terms + 1 leaves too few indices after it
         tasks = [(degree, terms, first, second, deadline)
-                 for first in range(n) for second in range(first + 1, n + 2 - terms)]
+                 for first in range(degree + 1) for second in range(first + 1, n + 2 - terms)]
         # output does not depend on the shard count, so more workers than
         # units or cores would only cost memory and process slots
         shards = min(shards, len(tasks), os.cpu_count() or 1)
@@ -480,6 +457,8 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
             stats.examined += examined
             stats.pruned += pruned
             exhaustive = exhaustive and complete
+        if exhaustive:  # the candidates of the units not dispatched, all after the others
+            stats.pruned += math.comb(n - degree - 1, terms)
     witnesses.sort(key=lambda w: w.support.monomials)
     stats.elapsed_seconds = time.monotonic() - start
     return witnesses, exhaustive, stats

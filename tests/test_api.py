@@ -104,6 +104,10 @@ REFUSALS = {
     "variable_index": (lambda: Polynomial.variable(2, 2), ValueError, "out of range"),
     "arity_mismatch": (lambda: f(3) + Polynomial(3), ValueError, "arity mismatch"),
     "swap_arity": (lambda: Polynomial(3).swap_xy(), ValueError, "only for two variables"),
+    "signature_degree_negative": (lambda: sharpmap.signature_impossible(
+        sharpmap.Signature(1, 0), -1), ValueError, "need max_degree >= 0"),
+    "signature_count_negative": (lambda: sharpmap.signature_impossible(
+        sharpmap.Signature(2, -1), 3), ValueError, "counts >= 0"),
     "restrict_no_variable": (lambda: sharpmap.restrict_to_hyperplane(Polynomial(0)), ValueError,
                              "at least one variable"),
 }

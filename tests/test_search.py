@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -327,7 +328,12 @@ class TestEnumerate:
         assert serial_pool == [3, 3]
         assert [w.polynomial for w in clamped] == [w.polynomial for w in serial]
 
-    @pytest.mark.parametrize("degree", range(1, 7))
+    # (examined, pruned) of the certificates when every (first, second)
+    # unit was dispatched
+    CERTIFICATE_COUNTERS = {1: (1, 2), 2: (3, 17), 3: (4, 116), 4: (48, 1317), 5: (95, 5890),
+                            6: (2103, 96177), 7: (4448, 372544)}
+
+    @pytest.mark.parametrize("degree", range(1, 8))
     def test_counters_do_not_depend_on_shard_count(self, serial_pool, monkeypatch,
                                                    degree):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -336,11 +342,25 @@ class TestEnumerate:
         assert serial_pool == [2, 3]
         (witnesses, exhaustive, stats), *others = runs
         assert exhaustive and witnesses
+        assert (stats.examined, stats.pruned) == self.CERTIFICATE_COUNTERS[degree]
         for other_witnesses, other_exhaustive, other_stats in others:
             assert other_exhaustive
             assert other_witnesses == witnesses
             assert (other_stats.examined, other_stats.pruned) == \
                 (stats.examined, stats.pruned)
+
+    def test_only_units_that_can_start_a_support_are_dispatched(self, monkeypatch):
+        firsts = []
+        block = search._search_block
+
+        def recording(degree, terms, first, second, deadline):
+            firsts.append(first)
+            return block(degree, terms, first, second, deadline)
+
+        monkeypatch.setattr(search, "_search_block", recording)
+        enumerate_sharp(7, 5)
+        # 228 of the 528 (first, second) units: those whose first index has a = 0
+        assert len(firsts) == 228 and max(firsts) == 7
 
 
 WALK_CASES = ([(d, min_term_count(d)) for d in range(1, 8)]
@@ -439,10 +459,9 @@ class TestWalk:
             assert len(checked) == result.certificate.stats.examined > 0
 
     def test_one_reduction_per_solved_prefix(self, monkeypatch):
-        # the walk reduces an inner child as soon as it draws it, to read its
-        # lead row, and the child before the last index at its first
-        # swap-canonical completion; every solve is handed the one reduction
-        # of its prefix
+        # the walk reduces each node at its first child that can complete a
+        # support, to read its lead row; every solve is handed the one
+        # reduction of its prefix
         built, solved, calls = [], [], []
         extend, descend = search._extend, search._Walk.descend
 
@@ -467,20 +486,24 @@ class TestWalk:
         assert len({id(prefix) for _, prefix in solved}) == \
             len({mons[:-1] for mons, _ in solved})
         # the walk's cost in counts that timing noise cannot move: reductions
-        # built, and one frame per visited node with 2 or more slots left.
-        # The graded-lex walk, which built a prefix's reduction when the
-        # first support under it was solved, made 13,279 and 4,037; reducing
-        # the child before the last index as soon as it is drawn made 6,831
-        # and 1,500.  A change to the walk states its new counts here.
-        assert len(built) == 5103
-        assert len(calls) == 1500
+        # built, and one frame per visited node with 1 or more slots left.
+        # Earlier walks framed only nodes with 2 or more slots left: the
+        # graded-lex walk, which built a prefix's reduction when the first
+        # support under it was solved, made 13,279 reductions and 4,037
+        # frames, and the closed-row walk with a separate last level made
+        # 5,103 and 1,500 (6,831 reductions when it reduced the child before
+        # the last index as soon as it was drawn).  A change to the walk
+        # states its new counts here.
+        assert len(built) == 5082
+        assert len(calls) == 6831
 
     def test_frames_at_high_term_counts(self, monkeypatch):
         # a child needs as many eligible indices above it as slots it
         # leaves: without that skip the graded-lex walk visited every short
         # tuple of eligible indices (1,757,057 frames here), and a room table
         # that wraps round in blocks with few eligible indices made 2,271;
-        # the graded-lex walk made 1,162
+        # the graded-lex walk made 1,162, and the closed-row walk 1,126
+        # before frames of 1 slot left were counted too
         calls = []
         descend = search._Walk.descend
 
@@ -494,7 +517,7 @@ class TestWalk:
                             lambda mons, d, prefix=None: search._INFEASIBLE)
         _, complete, stats = enumerate_sharp(5, 19)
         assert complete and (stats.examined, stats.pruned) == (111, 99)
-        assert len(calls) == 1126
+        assert len(calls) == 1315
 
 
 class TestPruningRules:
@@ -673,6 +696,10 @@ class TestSecondEngine:
     def both(monkeypatch, run):
         plain = run()
         monkeypatch.setattr(search, "line_columns", homogenized_columns)
+        # the walk's tables hold the columns of each degree: an empty cache
+        # reads the homogenized ones
+        monkeypatch.setattr(search, "_walk_tables",
+                            functools.cache(search._walk_tables.__wrapped__))
         return plain, run()
 
     @staticmethod
