@@ -16,6 +16,7 @@ from .constructions import (
     h_coeff_inequality_holds,
     h_coeff_sum,
     h_with_trace,
+    ladder_sites,
     ladder_with_trace,
     mod6,
     mod6_with_trace,
@@ -24,7 +25,6 @@ from .constructions import (
     q_with_trace,
     ratio4_construct,
     ratio4_construct_with_trace,
-    ratio4_sites,
 )
 from .families import (
     coefficient_ratio,

@@ -250,6 +250,8 @@ def _cmd_gaps(args) -> int:
             report.check("component monomials admit no constant combination",
                          gaps.monomials_independent_of_constants(witness.poly))
         return report.emit()
+    if args.to < args.n:
+        raise ValueError(f"--to must be at least --n = {args.n}, got {args.to}")
     report = Report("gaps table", {"n": args.n, "to": args.to})
     rows = []
     for N in range(args.n, args.to + 1):

@@ -2,18 +2,20 @@
 
 Every construction adds to a sharp base polynomial a change that vanishes
 on the line x + y = 1.  Three odd ones are rungs of one ladder of line
-identities, P_1 = x^2 + 2y and P_(j+1) = P_j^2 - 2y^(2^j), so that
-P_j = 1 + y^(2^j) on the line; its coefficients c_i of x^(2^j-2i) y^i are
-positive.  Rung j at a site (r, s) of f(2r+1), with a = 2r+1-2s and
-K = min_i K(r, s+i)/c_i, rewrites K x^(a-2^j) y^s P_j as
+identities: P_j = g_(2^j) = f(2^j) + y^(2^j), which is 1 + y^(2^j) on the
+line because f(2^j) is 1 there.  Its coefficients c_i of x^(2^j-2i) y^i are
+Waring's, so positive.  Rung j at a site (r, s) of f(2r+1), with
+a = 2r+1-2s and K = min_i K(r, s+i)/c_i, rewrites K x^(a-2^j) y^s P_j as
 K x^(a-2^j) y^s (1 + y^(2^j)) (``ladder_with_trace``); the result is sharp
-exactly when two ratios equal K.
+exactly when two ratios equal K.  ``ladder_sites`` lists the sites where the
+ratio K(r, s+1)/K(r, s) is 2^j from one Pell equation per rung,
+X^2 - D_j b^2 = N_j with b = 2r+1.
 
   * ``q(d)``      is rung 1 at the ratio-2 site of f(d), which exists
                   precisely when d^2 = 12 k^2 + 1 (a Pell condition).
   * ``mod6(k)``   is rung 2 at the site (3k, 2k-1) of f(6k+1).
   * ``ratio4_construct(r, s)`` is rung 2 at sites where the ratio is
-                  exactly 4 (tied to a^2 - 8b^2 = -7).
+                  exactly 4 (``ladder_sites(2, ...)``).
   * ``h(m)``      subtracts (4m-1) x^(2m-1) y (f(2m-2) - 1), which vanishes
                   on the line, from f(4m-1); covers every degree 3 mod 4.
 
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import coefficient_ratio, f, f_coefficient
+from .families import _ratio, _waring_coefficient, f, f_coefficient
 from .pell import generalized_solutions
 from .polynomial import (
     Polynomial,
@@ -103,6 +105,16 @@ def _power(name: str, e: int) -> str:
     return "" if e == 0 else name if e == 1 else f"{name}^{e}"
 
 
+def _rung_minimum(c: list[int], r: int, s: int) -> tuple[Fraction, int]:
+    """min_i K(r, s+i) / (c_i K(r, s)) and how many i reach it, from the closed-form ratio."""
+    values, k = [], Fraction(1)
+    for i, ci in enumerate(c):
+        values.append(k / ci)
+        k *= _ratio(r, s + i)
+    low = min(values)
+    return low, values.count(low)
+
+
 def ladder_with_trace(j: int, r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
     """Rung j of the ladder at the site (r, s) of f(2r+1), with its replacement record.
 
@@ -113,17 +125,15 @@ def ladder_with_trace(j: int, r: int, s: int) -> tuple[Polynomial, ReplacementSt
     # the shift tests s + 2^(j-1) <= r without building 2^(j-1)
     if j < 1 or s < 1 or (r - s) >> (j - 1) < 1:
         raise ValueError(f"invalid rung {j} at ({r},{s}): need j >= 1 and 1 <= s <= r - 2^(j-1)")
-    p = Polynomial(2, {(2, 0): 1, (0, 1): 2})
-    for i in range(1, j):
-        p = p * p - Polynomial(2, {(0, 2 ** i): 2})
     top = 2 ** j
-    c = [p.coefficient((top - 2 * i, i)) for i in range(top // 2 + 1)]
-    ks = [Fraction(f_coefficient(r, s + i)) for i in range(len(c))]
-    k = min(kk / ci for kk, ci in zip(ks, c))
-    rest = [kk - k * ci for kk, ci in zip(ks, c)]
-    if rest.count(0) != 2:
-        raise ValueError(f"({r},{s}) is not a rung-{j} site: {rest.count(0)} of the ratios "
+    c = [_waring_coefficient(top, i) for i in range(top // 2 + 1)]
+    low, ties = _rung_minimum(c, r, s)
+    if ties != 2:
+        raise ValueError(f"({r},{s}) is not a rung-{j} site: {ties} of the ratios "
                          f"K(r,s+i)/c_i equal their minimum, not 2")
+    ks = [Fraction(f_coefficient(r, s + i)) for i in range(len(c))]
+    k = low * ks[0]
+    rest = [kk - k * ci for kk, ci in zip(ks, c)]
     a = 2 * r + 1 - 2 * s
     produced = [((a - 2 * i, s + i), e) for i, e in enumerate(rest) if e]
     produced += [((a - top, s), k), ((a - top, s + top), k)]
@@ -135,31 +145,44 @@ def ladder_with_trace(j: int, r: int, s: int) -> tuple[Polynomial, ReplacementSt
     return _rewrite(f(2 * r + 1), step, f"rung {j} at ({r},{s})"), step
 
 
-# -- ratio-2 sites and q(d) ----------------------------------------------------
+def ladder_sites(j: int, r_bound: int) -> list[tuple[int, int]]:
+    """Every site (r, s), r <= r_bound, where K(r,s+1) = 2^j K(r,s) and rung j applies.
+
+    With rho = 2^j, t = r - s and b = 2r+1, the ratio condition 2t(2t+1) =
+    rho (s+1)(2r-s) is X^2 - D_j b^2 = N_j for X = (rho+4) t + 1 - rho/2,
+    D_j = 4^(j-1) + 2^j and N_j = 1 - 2^(j+1) (at rung 1, X = 6k gives
+    d^2 - 12k^2 = 1).  D_j lies strictly between (2^(j-1))^2 and (2^(j-1)+1)^2,
+    so it is never a square.  A solution is a site when b is odd, t is an
+    integer, 1 <= s <= r - 2^(j-1), and it passes the builder's rule (two
+    K(r, s+i)/c_i at their minimum), read from the closed-form ratio.
+    """
+    if j < 1 or r_bound < 1:
+        raise ValueError(f"need j >= 1 and r_bound >= 1, got j={j}, r_bound={r_bound}")
+    if (r_bound - 1) >> (j - 1) < 1:  # no r <= r_bound has room for s >= 1
+        return []
+    rho = 2 ** j
+    c = [_waring_coefficient(rho, i) for i in range(rho // 2 + 1)]
+    sites = []
+    for sol in generalized_solutions(rho * rho // 4 + rho, 1 - 2 * rho, 2 * r_bound + 1):
+        t, rem = divmod(rho - 2 + 2 * sol.a, 2 * rho + 8)
+        r = sol.b // 2
+        s = r - t
+        if sol.b % 2 == 0 or rem or not 1 <= s <= r - rho // 2:
+            continue
+        if _rung_minimum(c, r, s)[1] == 2:
+            sites.append((r, s))
+    return sites
 
 
 def pell_ratio_site(d: int) -> int | None:
-    """The unique s with K(r, s+1) = 2 K(r, s) in f(d), when one exists.
+    """The unique s with K(r, s+1) = 2 K(r, s) in f(d = 2r+1), or None: rung 1's site at r.
 
-    Writing d = 2r+1, the site is s = r - k where d^2 = 12 k^2 + 1; it
-    exists precisely when (d^2 - 1) / 12 is a perfect square, i.e. when d is
-    a member of the lambda = 12 Pell sequence 7, 97, 1351, ...
+    It is s = r - k where d^2 = 12 k^2 + 1: the lambda = 12 Pell degrees 7, 97, 1351, ...
     """
     if d < 1 or d % 2 == 0:
         raise ValueError(f"degree must be a positive odd integer, got {d}")
     r = (d - 1) // 2
-    if r < 2:
-        return None
-    t = d * d - 1
-    if t % 12:
-        return None
-    k = math.isqrt(t // 12)
-    if 12 * k * k != t:
-        return None
-    s = r - k
-    if coefficient_ratio(r, s) != 2:
-        raise AssertionError(f"ratio at claimed site ({r},{s}) is not 2")
-    return s
+    return dict(ladder_sites(1, r)).get(r) if r else None
 
 
 def q_with_trace(d: int) -> tuple[Polynomial, ReplacementStep]:
@@ -172,6 +195,34 @@ def q_with_trace(d: int) -> tuple[Polynomial, ReplacementStep]:
 
 def q(d: int) -> Polynomial:
     return q_with_trace(d)[0]
+
+
+def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
+    """Rung 2 of the ladder at the site (3k, 2k-1) of f(6k+1).
+
+    K(r, 2k) = 2 K(r, 2k+1) makes K = K(r, 2k)/4 at i = 1 and 2, and
+    K(r, 2k-1)/K(r, 2k) = k(4k+1) / ((2k+3)(k+1)) > 1/4.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return ladder_with_trace(2, 3 * k, 2 * k - 1)
+
+
+def mod6(k: int) -> Polynomial:
+    return mod6_with_trace(k)[0]
+
+
+def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
+    """Rung 2 of the ladder at a ratio-4 site of f(2r+1), where K(r,s+2) > 2 K(r,s)."""
+    if not 1 <= s <= r - 2:
+        raise ValueError(f"invalid site ({r},{s}): need 1 <= s <= r-2")
+    if _ratio(r, s) != 4:
+        raise ValueError(f"invalid site ({r},{s}): consecutive coefficient ratio is not 4")
+    return ladder_with_trace(2, r, s)
+
+
+def ratio4_construct(r: int, s: int) -> Polynomial:
+    return ratio4_construct_with_trace(r, s)[0]
 
 
 # -- h(m): degrees 3 mod 4 ----------------------------------------------------
@@ -254,68 +305,6 @@ def h_coeff_inequality_holds(m: int, s: int) -> bool:
     lhs = math.factorial(4 * m - s - 2) * math.factorial(2 * m - 2 * s)
     rhs = 2 * (m - 1) * s * math.factorial(2 * m - s - 2) * math.factorial(4 * m - 2 * s - 1)
     return lhs > rhs
-
-
-# -- degrees 1 mod 6 ------------------------------------------------------------
-
-
-def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
-    """Rung 2 of the ladder at the site (3k, 2k-1) of f(6k+1).
-
-    K(r, 2k) = 2 K(r, 2k+1) makes K = K(r, 2k)/4 at i = 1 and 2, and
-    K(r, 2k-1)/K(r, 2k) = k(4k+1) / ((2k+3)(k+1)) > 1/4.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return ladder_with_trace(2, 3 * k, 2 * k - 1)
-
-
-def mod6(k: int) -> Polynomial:
-    return mod6_with_trace(k)[0]
-
-
-# -- ratio-4 sites and their rewrite --------------------------------------------
-
-
-def ratio4_sites(r_bound: int) -> list[tuple[int, int]]:
-    """All (r, s) with r <= r_bound where K(r,s+1) = 4 K(r,s) and K(r,s+2) >= 2 K(r,s).
-
-    The ratio-4 condition solves to s = (8r - 1 - sqrt(32r^2 + 32r + 1)) / 8.
-    With b = 2r+1 and a = 8(r-s)-1 that is a^2 - 8 b^2 = -7, so the sites are
-    the solutions from ``generalized_solutions`` with b odd and a = 7 mod 8.
-    Both tests read the closed form of ``coefficient_ratio``,
-    K(r,s+1)/K(r,s) = (2r-2s+1)(2r-2s) / ((s+1)(2r-s)), in O(1) big-integer
-    work per site, not the binomials K(r, s) of tens of thousands of digits:
-    with ratio 4 at s, K(r,s+2) = 4 K(r,s) K(r,s+2)/K(r,s+1), so
-    K(r,s+2) >= 2 K(r,s) iff the ratio at s+1 is at least 1/2.
-    """
-    if r_bound < 1:
-        raise ValueError("r_bound must be positive")
-    sites = []
-    for sol in generalized_solutions(8, -7, 2 * r_bound + 1):
-        r = sol.b // 2
-        s = r - (sol.a + 1) // 8
-        if sol.b % 2 == 0 or sol.a % 8 != 7 or not 1 <= s <= r - 2:
-            continue
-        t = r - s
-        if (2 * t + 1) * 2 * t != 4 * (s + 1) * (2 * r - s):
-            raise AssertionError(f"closed-form site ({r},{s}) does not have ratio 4")
-        if 2 * (2 * t - 1) * (2 * t - 2) >= (s + 2) * (2 * r - s - 1):
-            sites.append((r, s))
-    return sites
-
-
-def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
-    """Rung 2 of the ladder at a ratio-4 site of f(2r+1), where K(r,s+2) > 2 K(r,s)."""
-    if not 1 <= s <= r - 2:
-        raise ValueError(f"invalid site ({r},{s}): need 1 <= s <= r-2")
-    if coefficient_ratio(r, s) != 4:
-        raise ValueError(f"invalid site ({r},{s}): consecutive coefficient ratio is not 4")
-    return ladder_with_trace(2, r, s)
-
-
-def ratio4_construct(r: int, s: int) -> Polynomial:
-    return ratio4_construct_with_trace(r, s)[0]
 
 
 # -- even degrees: one odd family member spliced into another -------------------

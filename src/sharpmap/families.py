@@ -60,12 +60,17 @@ def f_coefficient(r: int, s: int) -> int:
     return _waring_coefficient(2 * r + 1, s)
 
 
+def _ratio(r: int, s: int) -> Fraction:
+    """The closed form (2r-2s+1)(2r-2s) / ((s+1)(2r-s)) of K(r, s+1) / K(r, s), in O(1) work."""
+    return Fraction((2 * r - 2 * s + 1) * (2 * r - 2 * s), (s + 1) * (2 * r - s))
+
+
 def coefficient_ratio(r: int, s: int) -> Fraction:
-    """K(r, s+1) / K(r, s); equals (2r-2s+1)(2r-2s) / ((s+1)(2r-s)), asserted."""
+    """K(r, s+1) / K(r, s) from the binomials; equals the closed form ``_ratio``, asserted."""
     if not 1 <= s <= r - 1:
         raise ValueError(f"s must satisfy 1 <= s <= r-1, got r={r}, s={s}")
     ratio = Fraction(f_coefficient(r, s + 1), f_coefficient(r, s))
-    closed = Fraction((2 * r - 2 * s + 1) * (2 * r - 2 * s), (s + 1) * (2 * r - s))
+    closed = _ratio(r, s)
     if ratio != closed:
         raise AssertionError(f"coefficient ratio mismatch at ({r},{s}): {ratio} vs {closed}")
     return ratio

@@ -2,7 +2,7 @@
 
 Each oracle deliberately takes a different computational route from the
 library code it checks: radical/binomial expansions instead of recurrences,
-the defining recurrence instead of a closed form, brute-force scans instead
+the defining recurrence or repeated squaring instead of a closed form, brute-force scans instead
 of continued fractions and unit classes, sympy instead of the in-package
 arithmetic, whole-system elimination instead of column-by-column reduction,
 the basis x^k y^(d-k) instead of powers of x, a filter over every
@@ -62,6 +62,14 @@ def family_by_recurrence(d: int) -> Polynomial:
     terms = dict(g)
     terms[(0, d)] = terms.get((0, d), 0) + (1 if d % 2 else -1)
     return Polynomial(2, terms)
+
+
+def ladder_identity_by_squaring(j: int) -> Polynomial:
+    """P_j from P_1 = x^2 + 2y and P_(j+1) = P_j^2 - 2y^(2^j), by polynomial squaring."""
+    p = Polynomial(2, {(2, 0): 1, (0, 1): 2})
+    for i in range(1, j):
+        p = p * p - Polynomial(2, {(0, 2 ** i): 2})
+    return p
 
 
 def pell_fundamental_by_scan(lam: int) -> tuple[int, int]:

@@ -29,10 +29,10 @@ from sharpmap import (
     h_coeff_inequality_holds,
     h_coeff_sum,
     is_map_polynomial,
+    ladder_sites,
     mod6,
     q,
     ratio4_construct,
-    ratio4_sites,
     signature_impossible,
     signature_witness,
     solution_at,
@@ -137,7 +137,7 @@ def test_criterion_05_mod6_rewrites():
 
 def test_criterion_06_degree11_site_and_pell_link():
     from sharpmap import f_coefficient
-    assert (5, 1) in ratio4_sites(5)
+    assert (5, 1) in ladder_sites(2, 5)
     assert (f_coefficient(5, 1), f_coefficient(5, 2), f_coefficient(5, 3)) == (11, 44, 77)
     p = ratio4_construct(5, 1)
     assert is_map_polynomial(p) and p.degree() == 11 and p.term_count() == 7

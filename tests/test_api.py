@@ -53,6 +53,7 @@ PUBLIC_NAMES = [
     "h_with_trace",
     "is_map_polynomial",
     "is_one_on_hyperplane",
+    "ladder_sites",
     "ladder_with_trace",
     "mod6",
     "mod6_with_trace",
@@ -62,7 +63,6 @@ PUBLIC_NAMES = [
     "q_with_trace",
     "ratio4_construct",
     "ratio4_construct_with_trace",
-    "ratio4_sites",
     "restrict_to_hyperplane",
     "signature",
     "signature_impossible",
@@ -89,7 +89,8 @@ REFUSALS = {
     "T_0": (lambda: sharpmap.T(0), ValueError, "n must be positive"),
     "h_inequality_range": (lambda: sharpmap.h_coeff_inequality_holds(3, 3), ValueError,
                            "3 <= s <= m-1"),
-    "ratio4_sites_0": (lambda: sharpmap.ratio4_sites(0), ValueError, "r_bound must be positive"),
+    "ladder_sites_j_0": (lambda: sharpmap.ladder_sites(0, 5), ValueError, "need j >= 1"),
+    "ladder_sites_bound_0": (lambda: sharpmap.ladder_sites(1, 0), ValueError, "r_bound >= 1"),
     "ratio4_s_0": (lambda: sharpmap.ratio4_construct(5, 0), ValueError, "1 <= s <= r-2"),
     "ratio4_not_4": (lambda: sharpmap.ratio4_construct(5, 3), ValueError, "ratio is not 4"),
     "mod6_k_0": (lambda: sharpmap.mod6(0), ValueError, "k must be positive"),

@@ -455,6 +455,8 @@ class TestReportContract:
     (("pell", "--general-d", "2", "--general-n", "-100", "--b-bound", "3"), cli.EXIT_OK),
     # refused by the O(1) site check, without scanning up to r
     (("construct", "ratio4", "--r", "1000000000", "--s", "1"), cli.EXIT_USAGE),
+    # an empty table would pass its one assertion with no rows to check
+    (("gaps", "table", "--n", "3", "--to", "1"), cli.EXIT_USAGE),
 ])
 def test_exit_code_contract_at_the_edges(capsys, argv, expected):
     assert cli.main(list(argv)) == expected

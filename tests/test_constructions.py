@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from sharpmap import constructions
+from sharpmap import constructions, families
 from sharpmap import (
     Polynomial,
     equivalent,
@@ -22,6 +22,7 @@ from sharpmap import (
     h_coeff_sum,
     h_with_trace,
     is_map_polynomial,
+    ladder_sites,
     ladder_with_trace,
     mod6,
     mod6_with_trace,
@@ -30,14 +31,13 @@ from sharpmap import (
     q_with_trace,
     ratio4_construct,
     ratio4_construct_with_trace,
-    ratio4_sites,
     restrict_to_hyperplane,
     solution_at,
     uniqueness_status,
 )
 from sharpmap.polynomial import min_term_count
 
-from .oracles import compose, sympy_h_term_count
+from .oracles import compose, ladder_identity_by_squaring, sympy_h_term_count
 
 Q7_EXPECTED = Polynomial(2, {(7, 0): 1, (3, 1): 7, (3, 3): 7, (1, 3): 7, (0, 7): 1})
 MOD6_1_EXPECTED = Polynomial(2, {(7, 0): 1, (5, 1): Fraction(7, 2), (1, 1): Fraction(7, 2),
@@ -249,25 +249,25 @@ class TestMod6:
 
 class TestRatio4:
     def test_sites_bound_5(self):
-        assert ratio4_sites(5) == [(5, 1)]
+        assert ladder_sites(2, 5) == [(5, 1)]
 
     def test_no_sites_below_5(self):
-        assert ratio4_sites(4) == []
+        assert ladder_sites(2, 4) == []
 
     def test_sites_match_direct_ratio_scan(self):
         from sharpmap import coefficient_ratio, f_coefficient
         direct = [(r, s) for r in range(1, 61) for s in range(1, r - 1)
                   if coefficient_ratio(r, s) == 4
                   and f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s)]
-        assert ratio4_sites(60) == direct
+        assert ladder_sites(2, 60) == direct
 
     def test_sites_are_the_pell_solutions_up_to_10000(self):
         # degrees 11, 373 and 12,671
-        assert ratio4_sites(10_000) == [(5, 1), (186, 54), (6335, 1855)]
+        assert ladder_sites(2, 10_000) == [(5, 1), (186, 54), (6335, 1855)]
 
     def test_closed_form_matches_the_coefficients_up_to_10000(self):
         # every site of the Pell listing decided again from the binomials
-        # K(r, s) themselves, the ones ratio4_sites no longer builds
+        # K(r, s) themselves, the ones ladder_sites never builds
         from sharpmap import coefficient_ratio
         want = []
         for sol in generalized_solutions(8, -7, 2 * 10_000 + 1):
@@ -276,11 +276,11 @@ class TestRatio4:
             if sol.b % 2 and 1 <= s <= r - 2 and coefficient_ratio(r, s) == 4 \
                     and f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s):
                 want.append((r, s))
-        assert ratio4_sites(10_000) == want
+        assert ladder_sites(2, 10_000) == want
 
     def test_sites_up_to_a_million(self):
         # K(215220, 63036) has about 73,000 digits; the closed form never builds it
-        assert ratio4_sites(10 ** 6) == [(5, 1), (186, 54), (6335, 1855), (215220, 63036)]
+        assert ladder_sites(2, 10 ** 6) == [(5, 1), (186, 54), (6335, 1855), (215220, 63036)]
 
     def test_degree_373_has_three_classes(self):
         p = ratio4_construct(186, 54)
@@ -341,6 +341,54 @@ class TestLadder:
         # K(3, 2) = 14 and K(3, 3) / 2 = 7/2: one ratio equals the minimum
         with pytest.raises(ValueError, match="1 of the ratios"):
             ladder_with_trace(1, 3, 2)
+
+
+class TestLadderSites:
+    @pytest.mark.parametrize("j, want", [
+        (1, [(3, 1), (48, 20)]), (2, [(5, 1)]), (3, [(9, 1)]), (4, [(17, 1)]),
+    ])
+    def test_sites_match_a_direct_scan_to_r80(self, j, want):
+        # the ratio-2^j pairs that the builder itself accepts
+        from sharpmap import coefficient_ratio
+        direct = []
+        for r in range(1, 81):
+            for s in range(1, r - 2 ** (j - 1) + 1):
+                if coefficient_ratio(r, s) != 2 ** j:
+                    continue
+                try:
+                    ladder_with_trace(j, r, s)
+                except ValueError:
+                    continue
+                direct.append((r, s))
+        assert direct == want
+        assert ladder_sites(j, 80) == direct
+
+    def test_rung_1_sites_are_the_lambda_12_pell_degrees(self):
+        degrees = [solution_at(12, m).d for m in range(1, 7)]
+        sites = ladder_sites(1, (degrees[-1] - 1) // 2)
+        assert [2 * r + 1 for r, _ in sites] == degrees
+        assert all(pell_ratio_site(2 * r + 1) == s for r, s in sites)
+
+    def test_sites_up_to_a_million_for_rungs_2_to_5(self):
+        assert {j: ladder_sites(j, 10 ** 6) for j in range(2, 6)} == {
+            2: [(5, 1), (186, 54), (6335, 1855), (215220, 63036)],
+            3: [(9, 1), (930, 170), (91179, 16731)],
+            4: [(17, 1), (5634, 594)],
+            5: [(33, 1), (38658, 2210)],
+        }
+
+    def test_bound_below_the_first_site_is_empty(self):
+        assert ladder_sites(200, 10) == []
+        assert ladder_sites(3, 4) == []
+
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_waring_coefficients_are_the_squaring_recurrence(self, j):
+        # P_j = g_(2^j) = f(2^j) + y^(2^j)
+        top = 2 ** j
+        p = ladder_identity_by_squaring(j)
+        assert p == f(top) + Polynomial(2, {(0, top): 1})
+        assert [p.coefficient((top - 2 * i, i)) for i in range(top // 2 + 1)] == \
+            [families._waring_coefficient(top, i) for i in range(top // 2 + 1)]
 
 
 class TestComposition:

@@ -724,14 +724,18 @@ class TestSecondEngine:
 
 
 @pytest.mark.skipif(not os.environ.get("SHARPMAP_TEST_DEGREE10"),
-                    reason="opt-in: the d = 10 certificate takes minutes; "
+                    reason="opt-in: the d = 10 and 11 certificates take minutes; "
                            "set SHARPMAP_TEST_DEGREE10=1")
-def test_degree10_certificate_is_pinned():
-    # 16 classes, every witness a point; the digest is that of the
-    # graded-lex walk, which took 399 s on 2 shards
-    result = uniqueness_status(10, shards=2)
-    assert result.status == FAILS and result.class_count == 16
+@pytest.mark.parametrize("degree, classes, digest", [
+    # about 70 s on 2 shards; the graded-lex walk took 399 s
+    (10, 16, "5193239278f544e247662c3143a362b57942b44651817521197e9ee596c83244"),
+    # about 130 s on 2 shards: f(11) and h(3)
+    (11, 2, "f464644d9e6113f2a611413e0994fbe6a7cc966d4d36afec9b148b8779598cdc"),
+])
+def test_degree10_and_11_certificates_are_pinned(degree, classes, digest):
+    result = uniqueness_status(degree, shards=2)
+    assert result.status == FAILS and result.class_count == classes
+    assert all(w.freedom == 0 for w in result.certificate.witnesses)
     witnesses = [{"support": [list(m) for m in w.support.monomials], "freedom": w.freedom,
                   "poly": w.polynomial.to_json_dict()} for w in result.certificate.witnesses]
-    digest = hashlib.sha256(json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
-    assert digest == "5193239278f544e247662c3143a362b57942b44651817521197e9ee596c83244"
+    assert hashlib.sha256(json.dumps(witnesses, sort_keys=True).encode()).hexdigest() == digest
