@@ -12,9 +12,12 @@ p = rho / s is the particular solution that vanishes on the free columns,
 and delta / delta_j is the direction of free column j.
 
 ``max_min_component`` decides strict positivity on that solution set by
-Fourier-Motzkin elimination, in a space whose dimension is small: at most 3
-in every minimal-term search measured so far, and 5 in
-``enumerate_sharp(4, 10)``.  A caller that asks about many systems sharing
+Fourier-Motzkin elimination, in a space whose dimension is the freedom
+n - rank: at most 3 in every minimal-term search measured so far, and 5 in
+``enumerate_sharp(4, 10)``.  Nothing bounds one call: each eliminated
+parameter can take r rows to r^2 / 4, and a run of ``enumerate_sharp(5, 19)``
+(freedom 13 or more) passed 3.5 GB in 10 minutes, which no time budget
+read between calls can stop.  A caller that asks about many systems sharing
 all but their last column passes the reduction of that prefix, built by
 ``_extend`` from ``_start``: the search keeps one per depth of its walk.
 When the prefix residual R is nonzero, the last column is first reduced in
@@ -107,10 +110,13 @@ def max_min_component(columns, rhs, prefix: _Reduction | None = None):
     u = p + sum_j s_j v_j, with p = rho / s the particular solution that
     is zero on the free columns, and one direction v_j = delta / delta_j
     per free column j, which is 1 at j and 0 at the other free columns.
-    A pivot column that no direction touches is pinned at p_c, so
-    rho_c s <= 0 rejects in integers.  Otherwise the program lives in the
-    k = n - rank variables s_j: its rows are t <= p_i + sum_j v_ij s_j and
-    t <= 1.  Fourier-Motzkin elimination removes s_{k-1}, ..., s_0 in turn.
+    A column that no direction touches is pinned at p_c, so rho_c s <= 0
+    rejects in integers.  Otherwise the program lives in the k = n - rank
+    variables s_j: its rows are t <= p_i + sum_j v_ij s_j and t <= 1, one
+    formula for every column.  On free column j, rho and every other
+    dependency are 0 and its own is not, so the formula gives its unit row
+    t <= s_j and the pinned test never fires on it.
+    Fourier-Motzkin elimination removes s_{k-1}, ..., s_0 in turn.
     Two facts keep it short:
 
     - Every derived row is a positive combination of rows whose t
@@ -155,18 +161,12 @@ def max_min_component(columns, rhs, prefix: _Reduction | None = None):
         return None, None, 0
     freedom = len(free)
     rho = [-x for x in residual[m:]]
-    free_set = set(free)
-    pivots = [c for c in range(n) if c not in free_set]
-    for c in pivots:
+    for c in range(n):
         if rho[c] * scale <= 0 and not any(d[c] for d in deltas):
             return None, None, freedom
     # a row b stands for t <= b[0] + sum_j b[j + 1] s_j; row i < n is u_i >= t
-    solution_rows = [[_ZERO] * (freedom + 1) for _ in range(n)]
-    for k, c in enumerate(free):
-        solution_rows[c][k + 1] = _ONE
-    for c in pivots:
-        solution_rows[c] = [Fraction(rho[c], scale)] + [
-            Fraction(d[c], d[j]) for j, d in zip(free, deltas)]
+    solution_rows = [[Fraction(rho[c], scale)]
+                     + [Fraction(d[c], d[j]) for j, d in zip(free, deltas)] for c in range(n)]
     bounds = solution_rows + [[_ONE] + [_ZERO] * freedom]
     lowers = []  # per s_j, from s_{k-1} down: the rows bounding s_j below
     for j in reversed(range(freedom)):

@@ -508,24 +508,21 @@ def check_sphere_numeric(p: Polynomial, samples: int, seed: int) -> float:
             parts = list(map(operator.mul, parts, map(pow, repeat(x), exps)))
         for exp, mant, e2 in scaled:
             tm, te = mant, e2
-            zero = False
             for e, x in zip(exp, xs):
                 if not e:
                     continue
-                if x == 0.0:
-                    zero = True
-                    break
+                # x = 0.0 gives a zero mantissa, so the term is an exact 0.0,
+                # which leaves the exactly rounded fsum unchanged
                 xm, xe = math.frexp(x)
                 pm, pe = _pow_scaled(xm, xe, e)
                 tm *= pm
                 te += pe
                 tm, d = math.frexp(tm)
                 te += d
-            if not zero:
-                try:
-                    parts.append(math.ldexp(tm, te))
-                except OverflowError:
-                    parts.append(math.inf)
+            try:
+                parts.append(math.ldexp(tm, te))
+            except OverflowError:
+                parts.append(math.inf)
         residual = abs(math.fsum(parts) - 1.0)
         if residual > worst:
             worst = residual

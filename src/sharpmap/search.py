@@ -256,8 +256,9 @@ def _block_masks(degree: int, terms: int, first: int):
 
     - an index whose mirror lies below ``first`` is not eligible: it is never
       in a canonical support with smallest index ``first``, as the mirrored
-      sorted list would then start below ``first`` (and when the mirror of
-      ``first`` lies below it, no index is eligible);
+      sorted list would then start below ``first``.  A ``first`` whose own
+      mirror lies below it has a > 0, as (0, b) mirrors to (b, 0), after
+      every index with a = 0, and the lead rule empties its units;
     - for s > 1, the eligible indices with at least s - 1 eligible indices
       above them, as a child that leaves s - 1 slots needs that many
       (without it the walk visits every short tuple of eligible indices,
@@ -267,8 +268,7 @@ def _block_masks(degree: int, terms: int, first: int):
     """
     _, _, swap_bit, rules, _ = _walk_tables(degree)
     below = (1 << first) - 1
-    eligible = [i for i in range(first + 1, len(rules)) if not swap_bit[i] & below] \
-        if not swap_bit[first] & below else []
+    eligible = [i for i in range(first + 1, len(rules)) if not swap_bit[i] & below]
     draws = [[sum(1 << i for i in eligible[:max(len(eligible) + 1 - s, 0)])] * (_ALL_RULES + 1)
              for s in range(terms)]
     draws[1] = [sum(1 << i for i in eligible if rules[i] | met == _ALL_RULES)
@@ -398,11 +398,12 @@ def _search_block(degree: int, terms: int, first: int, second: int, deadline):
     if deadline is not None and time.monotonic() > deadline:
         return [], 0, 0, False
     walk = _Walk(degree, terms, first, deadline)
-    root = _start(walk.columns[0], terms)
-    stop, met = None, walk.rules[first]
-    if walk.upto[root[-1]] >> first & 1:
-        stop = walk.descend((first,), root, 1 << second & walk.draws[terms - 1][met], met,
-                            1 << first, walk.swap_bit[first])
+    # a first with a > 0 leaves the lead at row 0 when it is reduced, at its
+    # first child, and upto[0] holds no later index: its units solve nothing
+    met = walk.rules[first]
+    stop = walk.descend((first,), _start(walk.columns[0], terms),
+                        1 << second & walk.draws[terms - 1][met], met, 1 << first,
+                        walk.swap_bit[first])
     n = len(walk.universe)
     done = math.comb(n - 1 - second, terms - 2) if stop is None else _lex_rank(stop[1:], n)
     return walk.witnesses, walk.examined, done - walk.examined, stop is None
@@ -422,7 +423,8 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     unbalanced.  With ``shards`` > 1 each free worker takes the next unit;
     the results go through the same merge as a serial run and are sorted
     into canonical order, so the output does not depend on the number of
-    shards.
+    shards.  ``budget_seconds`` is read before each unit and each solve, and
+    one solve has no bound: it grows with the freedom (see ``linprog``).
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
@@ -438,27 +440,26 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     stats = SearchStats()
     witnesses: list[SharpWitness] = []
     exhaustive = True
-    if terms <= n:
-        # a second index above n - terms + 1 leaves too few indices after it
-        tasks = [(degree, terms, first, second, deadline)
-                 for first in range(degree + 1) for second in range(first + 1, n + 2 - terms)]
-        # output does not depend on the shard count, so more workers than
-        # units or cores would only cost memory and process slots
-        shards = min(shards, len(tasks), os.cpu_count() or 1)
-        if shards <= 1:
-            results = starmap(_search_block, tasks)
-        else:
-            import multiprocessing
+    # a second index above n - terms + 1 leaves too few after it: none at all when terms > n
+    tasks = [(degree, terms, first, second, deadline)
+             for first in range(degree + 1) for second in range(first + 1, n + 2 - terms)]
+    # output does not depend on the shard count, so more workers than
+    # units or cores would only cost memory and process slots
+    shards = min(shards, len(tasks), os.cpu_count() or 1)
+    if shards <= 1:
+        results = starmap(_search_block, tasks)
+    else:
+        import multiprocessing
 
-            with multiprocessing.get_context("fork").Pool(shards) as pool:
-                results = pool.starmap(_search_block, tasks, chunksize=1)
-        for wits, examined, pruned, complete in results:
-            witnesses.extend(wits)
-            stats.examined += examined
-            stats.pruned += pruned
-            exhaustive = exhaustive and complete
-        if exhaustive:  # the candidates of the units not dispatched, all after the others
-            stats.pruned += math.comb(n - degree - 1, terms)
+        with multiprocessing.get_context("fork").Pool(shards) as pool:
+            results = pool.starmap(_search_block, tasks, chunksize=1)
+    for wits, examined, pruned, complete in results:
+        witnesses.extend(wits)
+        stats.examined += examined
+        stats.pruned += pruned
+        exhaustive = exhaustive and complete
+    if exhaustive:  # the candidates of the units not dispatched, all after the others
+        stats.pruned += math.comb(n - degree - 1, terms)
     witnesses.sort(key=lambda w: w.support.monomials)
     stats.elapsed_seconds = time.monotonic() - start
     return witnesses, exhaustive, stats

@@ -111,6 +111,13 @@ REFUSALS = {
         sharpmap.Signature(2, -1), 3), ValueError, "counts >= 0"),
     "restrict_no_variable": (lambda: sharpmap.restrict_to_hyperplane(Polynomial(0)), ValueError,
                              "at least one variable"),
+    "enumerate_one_term": (lambda: sharpmap.enumerate_sharp(3, 1), ValueError,
+                           "at least 2 terms"),
+    "support_empty": (lambda: sharpmap.Support(1, ()), ValueError, "nonempty"),
+    "support_negative_exponent": (lambda: sharpmap.Support(1, ((-1, 2), (1, 0))), ValueError,
+                                  "nonnegative"),
+    "support_no_pure_x_power": (lambda: sharpmap.Support(2, ((1, 1), (0, 2))), ValueError,
+                                "y-exponent 0"),
 }
 
 

@@ -1,4 +1,7 @@
-"""Every name a ``sharpmap`` module imports is used; re-exports in ``__init__`` are exempt."""
+"""Every name a ``sharpmap`` module imports is used, and every private name it defines is read.
+
+Re-exports in ``__init__`` are exempt from the first check.
+"""
 
 from __future__ import annotations
 
@@ -46,3 +49,48 @@ def test_checker_finds_an_unused_import():
               "from typing import Mapping\n\n"
               "def f(x: \"Mapping[str, int]\") -> float:\n    return m.pi + len(os.sep)\n")
     assert unused_imports(source) == ["dataclass"]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The ``_names`` defined at module level in ``sources`` that none of them reads.
+
+    A definition is a top-level ``def``, ``class`` or assignment to a single
+    leading-underscore name (dunders are left out).  A read is a loaded
+    name, an attribute (``module._name``) or a name in a quoted annotation.
+    Names are matched across all the sources, as a package imports the
+    private names of its other modules.
+    """
+    defined = set()
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
+def test_every_private_name_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = ["_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    _B = 3\n    return _A\n",
+               "import m\n\nclass _C:\n    pass\n\n_D = m._f\n\ndef g(x: \"_C\"):\n    return x\n"]
+    assert unread_private_names(sources) == ["_B", "_D"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,3 +148,9 @@ def test_max_min_component_matches_vertex_oracle(system):
     for r, target in enumerate(rhs):
         assert sum(u_i * col[r] for u_i, col in zip(u, columns)) == target
     assert min(u) >= t_star
+
+
+def test_no_columns():
+    # the empty system solves rhs = 0 only, and then t is capped at 1
+    assert max_min_component([], [1, 0]) == (None, None, 0)
+    assert max_min_component([], [0, 0]) == (Fraction(1), (), 0)

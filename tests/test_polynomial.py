@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import pickle
 import random
@@ -356,6 +357,15 @@ class TestSphereCheck:
         # pinned from the per-term loop; the check does not restrict p
         p = make()
         assert check_sphere_numeric(p, samples, seed=1234).hex() == expected
+
+    @pytest.mark.parametrize("zero", [0, 1], ids=["x", "y"])
+    def test_zero_coordinate_gives_exact_terms(self, monkeypatch, zero):
+        # each sample draws two Gaussians per coordinate; with one coordinate
+        # 0.0, every term of f(1351) but the pure power of the other is an
+        # exact 0.0, scaled terms included, so p(1, 0) = p(0, 1) = 1 exactly
+        draws = itertools.cycle([0.0, 0.0, 0.6, 0.8] if zero == 0 else [0.6, 0.8, 0.0, 0.0])
+        monkeypatch.setattr(random.Random, "gauss", lambda self, mu, sigma: next(draws))
+        assert check_sphere_numeric(f(1351), 20, seed=1234) == 0.0
 
     def test_samples_validated(self):
         with pytest.raises(ValueError):

@@ -306,6 +306,11 @@ class TestEnumerate:
             [w.support.monomials for w in parallel]
         assert [w.polynomial for w in serial] == [w.polynomial for w in parallel]
 
+    def test_more_terms_than_monomials(self):
+        # degree 2 has 6 monomials: no unit, no candidate, an exhaustive run
+        witnesses, exhaustive, stats = enumerate_sharp(2, 7)
+        assert (witnesses, exhaustive, stats.examined, stats.pruned) == ([], True, 0, 0)
+
     @pytest.mark.parametrize("shards", [0, -2])
     def test_shards_below_one_rejected(self, shards):
         with pytest.raises(ValueError, match="shards"):
@@ -706,7 +711,7 @@ class TestSecondEngine:
     def witnesses(ws):
         return [(w.support, w.freedom, w.polynomial) for w in ws]
 
-    @pytest.mark.parametrize("degree", range(1, 8))
+    @pytest.mark.parametrize("degree", [*range(1, 8), 9])
     def test_uniqueness_status(self, monkeypatch, degree):
         plain, other = self.both(monkeypatch, lambda: uniqueness_status(degree))
         assert other.status == plain.status
