@@ -31,9 +31,9 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Exponents = tuple[int, ...]
 
@@ -456,29 +456,91 @@ def _pow_scaled(mant: float, exp2: int, power: int) -> tuple[float, int]:
     return rm, re
 
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _simplex_points(n: int, samples: int, seed: int) -> Iterator[list[float]]:
+    """Yield ``samples`` points x with x_j >= 0 and sum x_j = 1, drawn from ``seed``.
+
+    Each x_j is |z_j|^2 / ||z||^2 for a standard complex Gaussian z_j, and
+    each Gaussian pair comes from two draws of ``random()`` by Box-Muller:
+    angle u0 * 2 pi, radius sqrt(-2 log(1 - u1)).  This is the recipe of
+    ``random.Random.gauss`` (whose two calls per coordinate share one pair of
+    draws) without its Python-level call per Gaussian, so the points are
+    those of two ``gauss(0.0, 1.0)`` calls per coordinate.  The squares
+    stay ``** 2``, as the platform ``pow(t, 2.0)`` need not equal ``t * t``.
+    The norm is a left-to-right sum, as ``sum`` of floats was before CPython
+    3.12 made it compensated, so the points do not depend on the
+    interpreter.  An attempt whose norm is 0.0 is redrawn from the next
+    draws.
+    """
+    rand = random.Random(seed).random
+    cos, sin, sqrt, log = math.cos, math.sin, math.sqrt, math.log
+    for _ in range(samples):
+        while True:
+            sq_moduli = []
+            norm = 0.0
+            for _ in range(n):
+                angle = rand() * _TWO_PI
+                radius = sqrt(-2.0 * log(1.0 - rand()))
+                sq = (cos(angle) * radius) ** 2 + (sin(angle) * radius) ** 2
+                sq_moduli.append(sq)
+                norm += sq
+            if norm > 0.0:
+                break
+        yield [v / norm for v in sq_moduli]
+
+
+def _scaled_term(exp: Exponents, mant: float, e2: int, xs: list[float]) -> float:
+    """c * x_1^e_1 * ... * x_n^e_n for c = mant * 2**e2, renormalized per factor."""
+    tm, te = mant, e2
+    for e, x in zip(exp, xs):
+        if not e:
+            continue
+        # x = 0.0 gives a zero mantissa, so the term is an exact 0.0,
+        # which leaves the exactly rounded fsum unchanged
+        xm, xe = math.frexp(x)
+        pm, pe = _pow_scaled(xm, xe, e)
+        tm *= pm
+        te += pe
+        tm, d = math.frexp(tm)
+        te += d
+    try:
+        return math.ldexp(tm, te)
+    except OverflowError:
+        return math.inf
+
+
 def check_sphere_numeric(p: Polynomial, samples: int, seed: int) -> float:
     """Maximum |  ||f(z)||^2 - 1 | over pseudo-random points on the unit sphere.
 
     f is the monomial map z |-> (sqrt(c_a) z^a)_a of p = sum c_a x^a, so
     ||f(z)||^2 = p(|z_1|^2, ..., |z_n|^2).  p needs at least one variable
     and is not otherwise checked.  Points are drawn deterministically from
-    ``seed``.  Since only the moduli |z_j|^2 enter, each sample reduces to
-    a point (x_1, ..., x_n) with x_j >= 0 and sum x_j = 1, obtained by
-    normalizing squared Gaussians.
+    ``seed`` by ``_simplex_points``: since only the moduli |z_j|^2 enter,
+    each sample reduces to a point (x_1, ..., x_n) with x_j >= 0 and
+    sum x_j = 1, obtained by normalizing squared Gaussians.
 
-    The float-safe terms c * x_1^e_1 * ... * x_n^e_n of a sample are formed
-    by C-level maps, one variable at a time.  The result is bit for bit that
-    of multiplying each term in a Python loop, skipping zero exponents: every
-    product keeps the order c, x_1^e_1, ..., x_n^e_n; a zero exponent gives
-    ``x ** 0 == 1.0`` and ``t * 1.0 == t``; and ``math.fsum`` is exactly
-    rounded, so the order of the terms in the sum does not matter.
+    The float-safe terms c * x_1^e_1 * ... * x_n^e_n of a sample form one
+    lazy chain of C-level maps, one link per variable, that ``math.fsum``
+    consumes with no list in between.  The result is bit for bit that of
+    multiplying each term in a Python loop as ``c * x_1 ** e_1 * ...``:
+
+      * for finite x >= 0 and an integer e, ``math.pow(x, float(e))`` and
+        ``x ** e`` call the platform ``pow`` on the same two doubles (both
+        give 1.0 for e = 0, and ``t * 1.0 == t``);
+      * every product keeps the order c, x_1^e_1, ..., x_n^e_n;
+      * ``math.fsum`` is exactly rounded, so the order of the terms in the
+        sum does not matter;
+      * the sampler reproduces two ``random.Random.gauss(0.0, 1.0)`` calls
+        per coordinate, and its left-to-right norm is the ``sum`` of
+        CPython 3.10 and 3.11, so the result is the same on 3.10 to 3.13.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     n = p.nvars
     if n < 1:  # no point of the sphere would ever be drawn
         raise ValueError("the sphere check needs at least one variable")
-    rng = random.Random(seed)
 
     # split the terms into float-safe ones and scaled big-coefficient ones
     plain: list[tuple[Exponents, float]] = []
@@ -490,39 +552,17 @@ def check_sphere_numeric(p: Polynomial, samples: int, seed: int) -> float:
             mant, e2 = _frexp_fraction(sq)
             scaled.append((exp, mant, e2))
     plain_coeffs = [c for _, c in plain]
-    # one exponent tuple per variable; n >= 1, so the fold below always
-    # builds a fresh list that the scaled terms may be appended to
-    plain_exps = [tuple(exp[j] for exp, _ in plain) for j in range(n)]
+    # one tuple of float exponents per variable, the second argument of math.pow
+    plain_exps = [tuple(float(exp[j]) for exp, _ in plain) for j in range(n)]
 
     worst = 0.0
-    for _ in range(samples):
-        while True:
-            sq_moduli = [rng.gauss(0.0, 1.0) ** 2 + rng.gauss(0.0, 1.0) ** 2
-                         for _ in range(n)]
-            norm = sum(sq_moduli)
-            if norm > 0.0:
-                break
-        xs = [v / norm for v in sq_moduli]
-        parts = plain_coeffs
+    for xs in _simplex_points(n, samples, seed):
+        parts: Iterable[float] = plain_coeffs
         for x, exps in zip(xs, plain_exps):
-            parts = list(map(operator.mul, parts, map(pow, repeat(x), exps)))
-        for exp, mant, e2 in scaled:
-            tm, te = mant, e2
-            for e, x in zip(exp, xs):
-                if not e:
-                    continue
-                # x = 0.0 gives a zero mantissa, so the term is an exact 0.0,
-                # which leaves the exactly rounded fsum unchanged
-                xm, xe = math.frexp(x)
-                pm, pe = _pow_scaled(xm, xe, e)
-                tm *= pm
-                te += pe
-                tm, d = math.frexp(tm)
-                te += d
-            try:
-                parts.append(math.ldexp(tm, te))
-            except OverflowError:
-                parts.append(math.inf)
+            parts = map(operator.mul, parts, map(math.pow, repeat(x), exps))
+        if scaled:
+            parts = chain(parts, [_scaled_term(exp, mant, e2, xs)
+                                  for exp, mant, e2 in scaled])
         residual = abs(math.fsum(parts) - 1.0)
         if residual > worst:
             worst = residual

@@ -414,6 +414,17 @@ class TestVerifyAndMap:
         assert code == 0 and passed_all(report)
         assert report["outputs"]["max_residual"] <= 1e-10
 
+    def test_map_residual_bits(self, capsys, tmp_path):
+        # a compensated norm (sum() on CPython 3.12 and later) would read 2**-53
+        code, report = run(capsys, "gaps", "witness", "--n", "3", "--N", "3")
+        assert code == 0
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(report["outputs"]["witness"]["poly"]))
+        code, report = run(capsys, "map", "--file", str(path),
+                           "--samples", "200", "--seed", "2")
+        assert code == 0 and passed_all(report)
+        assert report["outputs"]["max_residual"] == 2 ** -52
+
     def test_map_rejects_non_member(self, capsys, tmp_path):
         p = Polynomial(2, {(1, 0): 2, (0, 1): 2})
         path = tmp_path / "poly.json"

@@ -30,7 +30,8 @@ from sharpmap import (
 from sharpmap import polynomial
 from sharpmap.polynomial import line_columns, terms_to_json
 
-from .oracles import random_polynomial, restrict_by_terms, sympy_restriction, to_sympy
+from .oracles import (random_polynomial, restrict_by_terms, simplex_points_by_gauss,
+                      sympy_restriction, to_sympy)
 
 X_PLUS_Y = Polynomial(2, {(1, 0): 1, (0, 1): 1})
 F3 = Polynomial(2, {(3, 0): 1, (1, 1): 3, (0, 3): 1})
@@ -321,6 +322,11 @@ class TestMonomialMap:
             assert {tuple(c["exp"]): Fraction(c["sq_coeff"]) for c in components} == p.terms
 
 
+def hex_points(points) -> list[list[str]]:
+    """The exact bits of each coordinate, so that 0.0 and -0.0 differ too."""
+    return [[v.hex() for v in point] for point in points]
+
+
 class TestSphereCheck:
     def test_identity_map_residual(self):
         assert check_sphere_numeric(X_PLUS_Y, 100, seed=1) <= 1e-12
@@ -345,27 +351,57 @@ class TestSphereCheck:
         assert is_map_polynomial(p)
         assert check_sphere_numeric(p, 50, seed=2) <= 1e-10
 
-    @pytest.mark.parametrize("make, samples, expected", [
-        (lambda: f(7), 1000, "0x1.0000000000000p-50"),
-        (lambda: f(121), 300, "0x1.1a00000000000p-46"),
-        (lambda: f(1351), 20, "0x1.2d80000000000p-43"),  # plain and scaled terms
-        (lambda: gap_witness(1, 5).poly, 500, "0x0.0p+0"),
-        (lambda: gap_witness(4, 12).poly, 500, "0x1.0000000000000p-52"),
-        (lambda: mod6(3), 500, "0x1.6000000000000p-49"),
-    ], ids=["f7", "f121", "f1351", "gap_1_5", "gap_4_12", "mod6_3"])
-    def test_residual_bit_for_bit(self, make, samples, expected):
+    @pytest.mark.parametrize("make, samples, seed, expected", [
+        (lambda: f(7), 1000, 1234, "0x1.0000000000000p-50"),
+        (lambda: f(121), 300, 1234, "0x1.1a00000000000p-46"),
+        (lambda: f(1351), 20, 1234, "0x1.2d80000000000p-43"),  # plain and scaled terms
+        (lambda: gap_witness(1, 5).poly, 500, 1234, "0x0.0p+0"),
+        (lambda: gap_witness(4, 12).poly, 500, 1234, "0x1.0000000000000p-52"),
+        (lambda: mod6(3), 500, 1234, "0x1.6000000000000p-49"),
+        # a compensated norm (sum() on CPython 3.12 and later) reads 0x1p-53
+        (lambda: gap_witness(3, 3).poly, 200, 2, "0x1.0000000000000p-52"),
+        # a compensated norm reads 0x1p-52 for these two
+        (lambda: gap_witness(3, 5).poly, 200, 2, "0x1.8000000000000p-52"),
+        (lambda: gap_witness(3, 5).poly, 200, 3, "0x1.8000000000000p-52"),
+    ], ids=["f7", "f121", "f1351", "gap_1_5", "gap_4_12", "mod6_3",
+            "gap_3_3_seed2", "gap_3_5_seed2", "gap_3_5_seed3"])
+    def test_residual_bit_for_bit(self, make, samples, seed, expected):
         # pinned from the per-term loop; the check does not restrict p
         p = make()
-        assert check_sphere_numeric(p, samples, seed=1234).hex() == expected
+        assert check_sphere_numeric(p, samples, seed=seed).hex() == expected
 
     @pytest.mark.parametrize("zero", [0, 1], ids=["x", "y"])
     def test_zero_coordinate_gives_exact_terms(self, monkeypatch, zero):
-        # each sample draws two Gaussians per coordinate; with one coordinate
-        # 0.0, every term of f(1351) but the pure power of the other is an
-        # exact 0.0, scaled terms included, so p(1, 0) = p(0, 1) = 1 exactly
-        draws = itertools.cycle([0.0, 0.0, 0.6, 0.8] if zero == 0 else [0.6, 0.8, 0.0, 0.0])
-        monkeypatch.setattr(random.Random, "gauss", lambda self, mu, sigma: next(draws))
+        # each coordinate takes an angle draw and a radius draw; a radius
+        # draw of 0.0 gives sqrt(-0.0), so that coordinate is 0.0 and every
+        # term of f(1351) but the pure power of the other is an exact 0.0,
+        # scaled terms included, so p(1, 0) = p(0, 1) = 1 exactly
+        draws = itertools.cycle([0.25, 0.0, 0.25, 0.5] if zero == 0 else [0.25, 0.5, 0.25, 0.0])
+        monkeypatch.setattr(random.Random, "random", lambda self: next(draws))
         assert check_sphere_numeric(f(1351), 20, seed=1234) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_points_match_gauss(self, n):
+        for seed in range(5):
+            points = polynomial._simplex_points(n, 50, seed)
+            assert hex_points(points) == hex_points(simplex_points_by_gauss(n, 50, seed))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_norm_attempt_is_redrawn(self, monkeypatch, n):
+        # the first attempt's radius draws are all 0.0, so its norm is 0.0
+        # and the first point comes from the next 2n draws
+        samples = 4
+        rng = random.Random(5)
+        tail = [rng.random() for _ in range(2 * n * samples)]
+        first = [0.3, 0.0] * n
+        results = []
+        for sampler in (polynomial._simplex_points, simplex_points_by_gauss):
+            draws = iter(first + tail)
+            monkeypatch.setattr(random.Random, "random", lambda self: next(draws))
+            results.append(hex_points(sampler(n, samples, 0)))
+            assert next(draws, None) is None  # every draw was used
+        assert results[0] == results[1]
+        assert len(results[0]) == samples
 
     def test_samples_validated(self):
         with pytest.raises(ValueError):
