@@ -7,8 +7,9 @@ of continued fractions and unit classes, sympy instead of the in-package
 arithmetic, whole-system elimination instead of column-by-column reduction,
 the basis x^k y^(d-k) instead of powers of x, a filter over every
 combination instead of a pruned depth-first walk, row-by-row echelon
-forms instead of the column reduction's lead row, and the standard
-library's Gaussian instead of the sphere check's own Box-Muller draws.
+forms instead of the column reduction's lead row and pivot rows, and the
+standard library's Gaussian instead of the sphere check's own Box-Muller
+draws.
 """
 
 from __future__ import annotations
@@ -441,6 +442,31 @@ def first_unsolvable_row(columns, rhs) -> int:
     return -1
 
 
+def leading_rows(columns) -> set[int]:
+    """The rows r at which some vector of the span of ``columns`` starts (is first nonzero).
+
+    The rows of the matrix whose columns are ``columns`` are added one at a
+    time to a row echelon form in Fractions.  The span's vectors that vanish
+    on rows 0..r-1 form a space of dimension rank(A) - rank(rows 0..r-1), so
+    r is a leading row iff row r raises the rank: it does not reduce to zero
+    against the rows before it.
+    """
+    n = len(columns)
+    echelon: list[tuple[int, list[Fraction]]] = []
+    rows = set()
+    for r in range(len(columns[0]) if columns else 0):
+        row = [Fraction(c[r]) for c in columns]
+        for p, e in echelon:
+            if row[p]:
+                factor = row[p] / e[p]
+                row = [x - factor * y for x, y in zip(row, e)]
+        p = next((j for j in range(n) if row[j]), None)
+        if p is not None:
+            echelon.append((p, row))
+            rows.add(r)
+    return rows
+
+
 def search_block_by_combinations(degree: int, terms: int, first: int, second: int, deadline):
     """``search._search_block`` by filtering every combination of the later indices.
 
@@ -448,9 +474,12 @@ def search_block_by_combinations(degree: int, terms: int, first: int, second: in
     built by ``itertools.combinations``, tested against the four rule
     masks, compared with its mirror, sorted, and tested for the lead rule:
     for every proper prefix whose truncated systems first fail at row r
-    (``first_unsolvable_row``), the next index must have a <= r.  The
-    survivors are solved in the same lexicographic order, with the deadline
-    checked at the start and before every solve.
+    (``first_unsolvable_row``), the next index must have a <= r.  Then the
+    pivot-row rule: the last index must have a among the leading rows of
+    the span of the other columns (``leading_rows``) or equal to the first
+    unsolvable row of the other columns.  The survivors are solved in the
+    same lexicographic order, with the deadline checked at the start and
+    before every solve.
     """
     # a unit taken after the deadline does no work
     if deadline is not None and time.monotonic() > deadline:
@@ -478,12 +507,16 @@ def search_block_by_combinations(degree: int, terms: int, first: int, second: in
     def lead(prefix):
         return first_unsolvable_row([table[universe[i]] for i in prefix], rhs)
 
+    @functools.cache
+    def starts(prefix):
+        return leading_rows([table[universe[i]] for i in prefix]) | {lead(prefix)}
+
     def closes_rows(combo):
         for k in range(1, len(combo)):
             r = lead(combo[:k])
             if r >= 0 and universe[combo[k]][0] > r:
                 return False
-        return True
+        return universe[combo[-1]][0] in starts(combo[:-1])
 
     witnesses: list[SharpWitness] = []
     examined = pruned = 0

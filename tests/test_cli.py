@@ -89,10 +89,10 @@ PINNED_REPORTS = {
     ("pell", "--lambda", "12", "--count", "5"):
         "584f084a2089a15156b00ce60e675fa1193631300274fdc197acf7d361952ae6",
     ("search", "--degree", "5"):
-        "c13c85e161b4f394876cb65b9c08e78dbe272525f7006556b438e1426ccfc5cf",
+        "c61ddfb0eacf493107802b3386c67d68da4b854178cce3f794146ad97ed57885",
     # polytope witnesses: freedoms of 1 among the points
     ("search", "--degree", "4", "--terms", "5"):
-        "9add631c83ed26b1307f01da4527f940d0c3684ea48b070111cb590692001599",
+        "a62462857381dd328873be0b6cf591dc392dcd3f656506f5ae6fdc8cdfc9367b",
     ("construct", "q", "--degree", "1351"):
         "e01c00520bae8555042386e98cd445e56a4a12a8e5f8a9510b897d6bc3d72e26",
     ("gaps", "witness", "--n", "6", "--N", "38"):
@@ -112,7 +112,7 @@ PINNED_REPORTS = {
         "3d9356e5d1c16b5f465822e43dae4181b6206ec359064a006ed0bf3b632c72f1",
     # uniqueness fails at d = 7: three classes, a conclusive exit 1
     ("search", "--degree", "7"):
-        "2817830886e1937c7c8b73ffeb53ba8816288d7e108e74801f23cbdb016c54dd",
+        "d9058390f5702560f01c37b6616164535a45641daf4a4176e00bc24d621883bf",
 }
 # the exit code of a pinned report other than EXIT_OK
 PINNED_EXIT_CODES = {("search", "--degree", "7"): cli.EXIT_ASSERTION}

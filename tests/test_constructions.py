@@ -392,8 +392,10 @@ class TestLadderSites:
 
 
 class TestComposition:
-    # the certificate's counters: (examined, pruned)
-    COUNTERS = {4: (48, 1317), 6: (2103, 96177), 8: (123078, 8021982)}
+    # the certificate's counters: (examined, pruned), and their sum, every
+    # candidate C(n, N)
+    COUNTERS = {4: (27, 1338), 6: (1032, 97248), 8: (52855, 8092205)}
+    CANDIDATES = {4: 1365, 6: 98280, 8: 8145060}
 
     @pytest.mark.parametrize("degree, count", [(4, 4), (6, 10), (8, 24)])
     def test_even_certificates_are_compositions_of_odd_ones(self, degree, count):
@@ -410,6 +412,7 @@ class TestComposition:
         assert len(composed) == count
         stats = result.certificate.stats
         assert (stats.examined, stats.pruned) == self.COUNTERS[degree]
+        assert stats.examined + stats.pruned == self.CANDIDATES[degree]
 
 
 class TestEvenSplice:

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sharpmap import linprog
 from sharpmap.linprog import _extend, _start, max_min_component
 from sharpmap.polynomial import line_columns
 
@@ -126,8 +127,31 @@ def test_prefix_reduction_gives_the_same_answer(system):
     # the full reduction of the last column must agree with both oracles
     columns, rhs = system
     want = max_min_by_rows(columns, rhs)
-    assert max_min_component(columns, rhs, prefix_reduction(columns, rhs)) == want
+    prefix = prefix_reduction(columns, rhs)
+    assert max_min_component(columns, rhs, prefix) == want
+    # with a prefix only the last column is read, and n is the prefix width
+    assert max_min_component(columns[-1:], rhs, prefix) == want
     assert max_min_component(columns, rhs) == want
+
+
+def test_new_pivot_on_a_solved_prefix_is_rejected_from_its_rows(monkeypatch):
+    # (1, 0) solves the system and (2, 0) is free, so the prefix residual is
+    # zero (lead -1); the last column (0, 1) is independent of the prefix,
+    # a new pivot whose coefficient is 0 in every solution: its row entries
+    # alone reject it, with the freedom of the whole system
+    columns, rhs = [[1, 0], [2, 0], [0, 1]], [1, 0]
+    prefix = prefix_reduction(columns, rhs)
+    assert prefix[-1] == -1 and len(prefix[2]) == 1
+    extended = []
+
+    def counting(state, column, m):
+        extended.append(column)
+        return _extend(state, column, m)
+
+    monkeypatch.setattr(linprog, "_extend", counting)
+    assert max_min_component(columns[-1:], rhs, prefix) == (None, None, 1)
+    assert extended == []
+    assert max_min_by_rows(columns, rhs) == (None, None, 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
