@@ -16,8 +16,6 @@ from .constructions import (
     h_coeff_inequality_holds,
     h_coeff_sum,
     h_with_trace,
-    ladder_sites,
-    ladder_with_trace,
     mod6,
     mod6_with_trace,
     pell_ratio_site,
@@ -25,6 +23,8 @@ from .constructions import (
     q_with_trace,
     ratio4_construct,
     ratio4_construct_with_trace,
+    rung_sites,
+    rung_with_trace,
 )
 from .families import (
     coefficient_ratio,

@@ -1,23 +1,27 @@
 """Sharp polynomials inequivalent to the f(d) family, each one rewrite of a base.
 
 Every construction adds to a sharp base polynomial a change that vanishes
-on the line x + y = 1.  Three odd ones are rungs of one ladder of line
-identities: P_j = g_(2^j) = f(2^j) + y^(2^j), which is 1 + y^(2^j) on the
-line because f(2^j) is 1 there.  Its coefficients c_i of x^(2^j-2i) y^i are
-Waring's, so positive.  Rung j at a site (r, s) of f(2r+1), with
-a = 2r+1-2s and K = min_i K(r, s+i)/c_i, rewrites K x^(a-2^j) y^s P_j as
-K x^(a-2^j) y^s (1 + y^(2^j)) (``ladder_with_trace``); the result is sharp
-exactly when two ratios equal K.  ``ladder_sites`` lists the sites where the
-ratio K(r, s+1)/K(r, s) is 2^j from one Pell equation per rung,
-X^2 - D_j b^2 = N_j with b = 2r+1.
+on the line x + y = 1.  The four odd ones are rungs of one ladder of line
+identities, one rung for each even e >= 2: g_e = f(e) + y^e is 1 + y^e on
+the line because f(e) is 1 there.  Its coefficients c_i of x^(e-2i) y^i,
+i = 0..e/2, are Waring's, so positive (c_0 = 1, c_1 = e).  Rung e at a site
+(r, s) of f(2r+1), with a = 2r+1-2s and K = min_i K(r, s+i)/c_i, rewrites
+K x^(a-e) y^s g_e as K x^(a-e) y^s (1 + y^e) (``rung_with_trace``); the
+result is sharp exactly when two ratios equal K.  ``rung_sites`` lists the
+sites where the ratio K(r, s+1)/K(r, s) is e from one Pell equation per
+rung, X^2 - D_e b^2 = N_e with b = 2r+1.
 
-  * ``q(d)``      is rung 1 at the ratio-2 site of f(d), which exists
+  * ``q(d)``      is rung 2 at the ratio-2 site of f(d), which exists
                   precisely when d^2 = 12 k^2 + 1 (a Pell condition).
-  * ``mod6(k)``   is rung 2 at the site (3k, 2k-1) of f(6k+1).
-  * ``ratio4_construct(r, s)`` is rung 2 at sites where the ratio is
-                  exactly 4 (``ladder_sites(2, ...)``).
-  * ``h(m)``      subtracts (4m-1) x^(2m-1) y (f(2m-2) - 1), which vanishes
-                  on the line, from f(4m-1); covers every degree 3 mod 4.
+  * ``mod6(k)``   is rung 4 at the site (3k, 2k-1) of f(6k+1).
+  * ``ratio4_construct(r, s)`` is rung 4 at sites where the ratio is
+                  exactly 4 (``rung_sites(4, ...)``).
+  * ``h(m)``      is rung 2m-2 at (2m-1, 1): it subtracts
+                  (4m-1) x^(2m-1) y (f(2m-2) - 1) from f(4m-1) and covers
+                  every degree 3 mod 4.
+
+Rungs off the powers of two reach the residues 5 and 9 mod 12 as well:
+d = 29 is rung 10 at (14, 3), and d = 57 is rung 18 at (28, 18).
 
 ``even_u`` and ``even_family`` give minimal-term examples in even degree by
 splicing one odd-degree family member into another.
@@ -98,7 +102,7 @@ def _step_adding(delta: Polynomial, line_identity: str, degree: int) -> Replacem
                            tuple((e, c) for e, c in terms if c > 0), line_identity, degree)
 
 
-# -- the ladder of line identities ---------------------------------------------
+# -- the ladder of line identities, one rung per even e ------------------------
 
 
 def _power(name: str, e: int) -> str:
@@ -115,59 +119,56 @@ def _rung_minimum(c: list[int], r: int, s: int) -> tuple[Fraction, int]:
     return low, values.count(low)
 
 
-def ladder_with_trace(j: int, r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
-    """Rung j of the ladder at the site (r, s) of f(2r+1), with its replacement record.
+def rung_with_trace(e: int, r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
+    """Rung e of the ladder at the site (r, s) of f(2r+1), with its replacement record.
 
-    The step consumes K(r, s+i) x^(a-2i) y^(s+i), i = 0..2^(j-1), and produces
+    The step consumes K(r, s+i) x^(a-2i) y^(s+i), i = 0..e/2, and produces
     the two new terms and K(r, s+i) - K c_i where that is positive.  A site
     where other than two ratios equal K is refused before f(2r+1) is built.
     """
-    # the shift tests s + 2^(j-1) <= r without building 2^(j-1)
-    if j < 1 or s < 1 or (r - s) >> (j - 1) < 1:
-        raise ValueError(f"invalid rung {j} at ({r},{s}): need j >= 1 and 1 <= s <= r - 2^(j-1)")
-    top = 2 ** j
-    c = [_waring_coefficient(top, i) for i in range(top // 2 + 1)]
+    if e < 2 or e % 2 or s < 1 or s + e // 2 > r:
+        raise ValueError(f"invalid rung {e} at ({r},{s}): need even e >= 2 and 1 <= s <= r - e/2")
+    c = [_waring_coefficient(e, i) for i in range(e // 2 + 1)]
     low, ties = _rung_minimum(c, r, s)
     if ties != 2:
-        raise ValueError(f"({r},{s}) is not a rung-{j} site: {ties} of the ratios "
+        raise ValueError(f"({r},{s}) is not a rung-{e} site: {ties} of the ratios "
                          f"K(r,s+i)/c_i equal their minimum, not 2")
     ks = [Fraction(f_coefficient(r, s + i)) for i in range(len(c))]
     k = low * ks[0]
     rest = [kk - k * ci for kk, ci in zip(ks, c)]
     a = 2 * r + 1 - 2 * s
-    produced = [((a - 2 * i, s + i), e) for i, e in enumerate(rest) if e]
-    produced += [((a - top, s), k), ((a - top, s + top), k)]
-    identity = " + ".join(f"{'' if ci == 1 else ci}{_power('x', top - 2 * i)}{_power('y', i)}"
+    produced = [((a - 2 * i, s + i), left) for i, left in enumerate(rest) if left]
+    produced += [((a - e, s), k), ((a - e, s + e), k)]
+    identity = " + ".join(f"{'' if ci == 1 else ci}{_power('x', e - 2 * i)}{_power('y', i)}"
                           for i, ci in enumerate(c))
     step = ReplacementStep(tuple(((a - 2 * i, s + i), kk) for i, kk in enumerate(ks)),
                            tuple(sorted(produced, key=lambda t: (-t[0][0], t[0][1]))),
-                           f"{identity} = 1 + y^{top} on x+y=1", 2 * r + 1)
-    return _rewrite(f(2 * r + 1), step, f"rung {j} at ({r},{s})"), step
+                           f"{identity} = 1 + y^{e} on x+y=1", 2 * r + 1)
+    return _rewrite(f(2 * r + 1), step, f"rung {e} at ({r},{s})"), step
 
 
-def ladder_sites(j: int, r_bound: int) -> list[tuple[int, int]]:
-    """Every site (r, s), r <= r_bound, where K(r,s+1) = 2^j K(r,s) and rung j applies.
+def rung_sites(e: int, r_bound: int) -> list[tuple[int, int]]:
+    """Every site (r, s), r <= r_bound, where K(r,s+1) = e K(r,s) and rung e applies.
 
-    With rho = 2^j, t = r - s and b = 2r+1, the ratio condition 2t(2t+1) =
-    rho (s+1)(2r-s) is X^2 - D_j b^2 = N_j for X = (rho+4) t + 1 - rho/2,
-    D_j = 4^(j-1) + 2^j and N_j = 1 - 2^(j+1) (at rung 1, X = 6k gives
-    d^2 - 12k^2 = 1).  D_j lies strictly between (2^(j-1))^2 and (2^(j-1)+1)^2,
-    so it is never a square.  A solution is a site when b is odd, t is an
-    integer, 1 <= s <= r - 2^(j-1), and it passes the builder's rule (two
-    K(r, s+i)/c_i at their minimum), read from the closed-form ratio.
+    With t = r - s and b = 2r+1, the ratio condition 2t(2t+1) = e (s+1)(2r-s)
+    is X^2 - D_e b^2 = N_e for X = (e+4) t + 1 - e/2, D_e = e^2/4 + e and
+    N_e = 1 - 2e (at e = 2, X = 6k gives d^2 - 12k^2 = 1).  D_e lies
+    strictly between (e/2)^2 and (e/2 + 1)^2 = D_e + 1, so it is never a
+    square.  A solution is a site when b is odd, t is an integer,
+    1 <= s <= r - e/2, and it passes the builder's rule (two K(r, s+i)/c_i
+    at their minimum), read from the closed-form ratio.
     """
-    if j < 1 or r_bound < 1:
-        raise ValueError(f"need j >= 1 and r_bound >= 1, got j={j}, r_bound={r_bound}")
-    if (r_bound - 1) >> (j - 1) < 1:  # no r <= r_bound has room for s >= 1
+    if e < 2 or e % 2 or r_bound < 1:
+        raise ValueError(f"need even e >= 2 and r_bound >= 1, got e={e}, r_bound={r_bound}")
+    if r_bound < 1 + e // 2:  # no r <= r_bound has room for s >= 1
         return []
-    rho = 2 ** j
-    c = [_waring_coefficient(rho, i) for i in range(rho // 2 + 1)]
+    c = [_waring_coefficient(e, i) for i in range(e // 2 + 1)]
     sites = []
-    for sol in generalized_solutions(rho * rho // 4 + rho, 1 - 2 * rho, 2 * r_bound + 1):
-        t, rem = divmod(rho - 2 + 2 * sol.a, 2 * rho + 8)
+    for sol in generalized_solutions(e * e // 4 + e, 1 - 2 * e, 2 * r_bound + 1):
+        t, rem = divmod(e - 2 + 2 * sol.a, 2 * e + 8)
         r = sol.b // 2
         s = r - t
-        if sol.b % 2 == 0 or rem or not 1 <= s <= r - rho // 2:
+        if sol.b % 2 == 0 or rem or not 1 <= s <= r - e // 2:
             continue
         if _rung_minimum(c, r, s)[1] == 2:
             sites.append((r, s))
@@ -175,22 +176,22 @@ def ladder_sites(j: int, r_bound: int) -> list[tuple[int, int]]:
 
 
 def pell_ratio_site(d: int) -> int | None:
-    """The unique s with K(r, s+1) = 2 K(r, s) in f(d = 2r+1), or None: rung 1's site at r.
+    """The unique s with K(r, s+1) = 2 K(r, s) in f(d = 2r+1), or None: rung 2's site at r.
 
     It is s = r - k where d^2 = 12 k^2 + 1: the lambda = 12 Pell degrees 7, 97, 1351, ...
     """
     if d < 1 or d % 2 == 0:
         raise ValueError(f"degree must be a positive odd integer, got {d}")
     r = (d - 1) // 2
-    return dict(ladder_sites(1, r)).get(r) if r else None
+    return dict(rung_sites(2, r)).get(r) if r else None
 
 
 def q_with_trace(d: int) -> tuple[Polynomial, ReplacementStep]:
-    """Rung 1 of the ladder at the ratio-2 site of f(d), with its replacement record."""
+    """Rung 2 of the ladder at the ratio-2 site of f(d), with its replacement record."""
     s = pell_ratio_site(d)
     if s is None:
         raise ValueError(f"f({d}) has no consecutive-coefficient ratio equal to 2")
-    return ladder_with_trace(1, (d - 1) // 2, s)
+    return rung_with_trace(2, (d - 1) // 2, s)
 
 
 def q(d: int) -> Polynomial:
@@ -198,14 +199,14 @@ def q(d: int) -> Polynomial:
 
 
 def mod6_with_trace(k: int) -> tuple[Polynomial, ReplacementStep]:
-    """Rung 2 of the ladder at the site (3k, 2k-1) of f(6k+1).
+    """Rung 4 of the ladder at the site (3k, 2k-1) of f(6k+1).
 
     K(r, 2k) = 2 K(r, 2k+1) makes K = K(r, 2k)/4 at i = 1 and 2, and
     K(r, 2k-1)/K(r, 2k) = k(4k+1) / ((2k+3)(k+1)) > 1/4.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return ladder_with_trace(2, 3 * k, 2 * k - 1)
+    return rung_with_trace(4, 3 * k, 2 * k - 1)
 
 
 def mod6(k: int) -> Polynomial:
@@ -213,38 +214,34 @@ def mod6(k: int) -> Polynomial:
 
 
 def ratio4_construct_with_trace(r: int, s: int) -> tuple[Polynomial, ReplacementStep]:
-    """Rung 2 of the ladder at a ratio-4 site of f(2r+1), where K(r,s+2) > 2 K(r,s)."""
+    """Rung 4 of the ladder at a ratio-4 site of f(2r+1), where K(r,s+2) > 2 K(r,s)."""
     if not 1 <= s <= r - 2:
         raise ValueError(f"invalid site ({r},{s}): need 1 <= s <= r-2")
     if _ratio(r, s) != 4:
         raise ValueError(f"invalid site ({r},{s}): consecutive coefficient ratio is not 4")
-    return ladder_with_trace(2, r, s)
+    return rung_with_trace(4, r, s)
 
 
 def ratio4_construct(r: int, s: int) -> Polynomial:
     return ratio4_construct_with_trace(r, s)[0]
 
 
-# -- h(m): degrees 3 mod 4 ----------------------------------------------------
-
-
 def h_with_trace(m: int) -> tuple[Polynomial, ReplacementStep]:
-    """f(4m-1) - (4m-1) x^(2m-1) y (f(2m-2) - 1), expanded and merged.
+    """Rung 2m-2 at (2m-1, 1): f(4m-1) - (4m-1) x^(2m-1) y (f(2m-2) - 1), degree 4m-1.
 
-    The subtracted product vanishes on the line, so the result is again 1
-    there; it has 2m+1 terms (two coefficients of f(4m-1) cancel exactly and
-    two new monomials x^(2m-1) y and x^(2m-1) y^(2m-1) appear).
+    Here K(r, 1)/c_0 = 4m-1, and K(r, 1+i) - (4m-1) c_i = 2^-(4m-1) C_(1+i)
+    is h's coefficient of x^(4m-3-2i) y^(1+i) (scaled coefficients below).
+    So the ratio K(r, 1+i)/c_i is 4m-1 where C_(1+i) = 0 and larger where
+    C_(1+i) > 0: the site passes the two-minima rule because C_1 = C_2 = 0
+    and C_s > 0 for s = 3..m (the paper's inequality gives s <= m-1; the
+    acceptance suite checks s = m too, for m <= 50).  The record is in h's
+    own form: the terms of (4m-1) x^(2m-1) y (1 - f(2m-2)), the rung's change.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    multiplier = Polynomial(2, {(2 * m - 1, 1): 4 * m - 1})
-    step = _step_adding(multiplier * (Polynomial.constant(2, 1) - f(2 * m - 2)),
-                        f"f({2 * m - 2}) = 1 on x+y=1", 4 * m - 1)
-    result = _rewrite(f(4 * m - 1), step, f"h({m})")
-    for exp in ((4 * m - 3, 1), (4 * m - 5, 2)):
-        if result.coefficient(exp) != 0:
-            raise AssertionError(f"h({m}): coefficient at {exp} did not cancel")
-    return result, step
+    poly, step = rung_with_trace(2 * m - 2, 2 * m - 1, 1)
+    change = Polynomial(2, step.produced) - Polynomial(2, step.consumed)
+    return poly, _step_adding(change, f"f({2 * m - 2}) = 1 on x+y=1", 4 * m - 1)
 
 
 def h(m: int) -> Polynomial:

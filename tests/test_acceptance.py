@@ -29,10 +29,10 @@ from sharpmap import (
     h_coeff_inequality_holds,
     h_coeff_sum,
     is_map_polynomial,
-    ladder_sites,
     mod6,
     q,
     ratio4_construct,
+    rung_sites,
     signature_impossible,
     signature_witness,
     solution_at,
@@ -109,7 +109,8 @@ def test_criterion_04_h_family_and_scaled_coefficients():
             assert h_coeff_closed(m, s) == h_coeff_sum(m, s), (m, s)
         assert h_coeff_closed(m, 1) == 0
         assert h_coeff_closed(m, 2) == 0
-        for s in range(3, m):
+        # s = m as well: h's site passes the rung rule when C_s > 0 for s = 3..m
+        for s in range(3, m + 1):
             assert h_coeff_closed(m, s) > 0, (m, s)
     for m in range(4, 201):
         for s in range(3, m):
@@ -137,7 +138,7 @@ def test_criterion_05_mod6_rewrites():
 
 def test_criterion_06_degree11_site_and_pell_link():
     from sharpmap import f_coefficient
-    assert (5, 1) in ladder_sites(2, 5)
+    assert (5, 1) in rung_sites(4, 5)
     assert (f_coefficient(5, 1), f_coefficient(5, 2), f_coefficient(5, 3)) == (11, 44, 77)
     p = ratio4_construct(5, 1)
     assert is_map_polynomial(p) and p.degree() == 11 and p.term_count() == 7

@@ -53,8 +53,6 @@ PUBLIC_NAMES = [
     "h_with_trace",
     "is_map_polynomial",
     "is_one_on_hyperplane",
-    "ladder_sites",
-    "ladder_with_trace",
     "mod6",
     "mod6_with_trace",
     "monomials_independent_of_constants",
@@ -64,6 +62,8 @@ PUBLIC_NAMES = [
     "ratio4_construct",
     "ratio4_construct_with_trace",
     "restrict_to_hyperplane",
+    "rung_sites",
+    "rung_with_trace",
     "signature",
     "signature_impossible",
     "signature_witness",
@@ -89,18 +89,20 @@ REFUSALS = {
     "T_0": (lambda: sharpmap.T(0), ValueError, "n must be positive"),
     "h_inequality_range": (lambda: sharpmap.h_coeff_inequality_holds(3, 3), ValueError,
                            "3 <= s <= m-1"),
-    "ladder_sites_j_0": (lambda: sharpmap.ladder_sites(0, 5), ValueError, "need j >= 1"),
-    "ladder_sites_bound_0": (lambda: sharpmap.ladder_sites(1, 0), ValueError, "r_bound >= 1"),
+    "ladder_sites_odd_e": (lambda: sharpmap.rung_sites(3, 5), ValueError, "need even e >= 2"),
+    "ladder_sites_bound_0": (lambda: sharpmap.rung_sites(2, 0), ValueError, "r_bound >= 1"),
     "ratio4_s_0": (lambda: sharpmap.ratio4_construct(5, 0), ValueError, "1 <= s <= r-2"),
     "ratio4_not_4": (lambda: sharpmap.ratio4_construct(5, 3), ValueError, "ratio is not 4"),
     "mod6_k_0": (lambda: sharpmap.mod6(0), ValueError, "k must be positive"),
-    "ladder_j_0": (lambda: sharpmap.ladder_with_trace(0, 5, 1), ValueError, "need j >= 1"),
-    "ladder_s_0": (lambda: sharpmap.ladder_with_trace(1, 5, 0), ValueError, "1 <= s <= r - 2"),
-    # s + 2^(j-1) = 6 > r
-    "ladder_past_r": (lambda: sharpmap.ladder_with_trace(3, 5, 2), ValueError, "1 <= s <= r - 2"),
+    "ladder_e_0": (lambda: sharpmap.rung_with_trace(0, 5, 1), ValueError, "need even e >= 2"),
+    "ladder_odd_e": (lambda: sharpmap.rung_with_trace(3, 5, 1), ValueError, "need even e >= 2"),
+    "ladder_s_0": (lambda: sharpmap.rung_with_trace(2, 5, 0), ValueError, "1 <= s <= r - e/2"),
+    # s + e/2 = 6 > r
+    "ladder_past_r": (lambda: sharpmap.rung_with_trace(8, 5, 2), ValueError,
+                      "1 <= s <= r - e/2"),
     # refused from three coefficients, before f(2 * 10^9 + 1) is built
-    "ladder_not_a_site": (lambda: sharpmap.ladder_with_trace(2, 10 ** 9, 1), ValueError,
-                          "not a rung-2 site"),
+    "ladder_not_a_site": (lambda: sharpmap.rung_with_trace(4, 10 ** 9, 1), ValueError,
+                          "not a rung-4 site"),
     "even_u_negative": (lambda: sharpmap.even_u(-1, 0), ValueError, "must be nonnegative"),
     "variable_index": (lambda: Polynomial.variable(2, 2), ValueError, "out of range"),
     "arity_mismatch": (lambda: f(3) + Polynomial(3), ValueError, "arity mismatch"),

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,20 +59,24 @@ class TestConstruct:
         assert code == cli.EXIT_USAGE
 
 
+# The construct h, mod6 and ratio4 reports and q(97) whose hashes
+# bench/reference.json pins, read from that file, so a byte change in any of
+# them fails here and not only in the benchmark.  The benchmark hashes a
+# report without its "timing_seconds" line, as report_digest does; a
+# construct report has no "elapsed_seconds".
+BENCH_CONSTRUCT_PINS = {
+    tuple(op.split()): pin
+    for op, pin in json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
+    )["construct"].items()
+    if op.split()[:2] in (["construct", "h"], ["construct", "mod6"], ["construct", "ratio4"])
+    or op == "construct q --degree 97"
+}
+
 # SHA-256 of each report's stdout without its "timing_seconds" line and with
 # the value of "elapsed_seconds" blanked.
 PINNED_REPORTS = {
-    ("construct", "q", "--degree", "97"):
-        "062babc40b886443b7e7d65c1d611e3f90d7438e2377bcf934897532ef722d0d",
-    ("construct", "h", "--m", "3"):
-        "dc5098f3a2f241f33051d23554c60113f6452ab92adc6a3abf8d74558ea9a000",
-    ("construct", "mod6", "--k", "2"):
-        "4aaa7358525a98c65c8d93d4481334ab71d3f02aa42d224472a5cab0708323eb",
-    ("construct", "ratio4", "--r", "5", "--s", "1"):
-        "1712b2d3d56d0084df6402843d866693fda9be7416f0af25ff90a74a9aba6a49",
-    # the largest mod6 report of the construct workload
-    ("construct", "mod6", "--k", "20"):
-        "4917e9402c23e8526e63917b2af521e8dc3efa89efb1a261411decac4f7cb8fe",
+    **{argv: pin["sha256"] for argv, pin in BENCH_CONSTRUCT_PINS.items()},
     # the second ratio-4 site, degree 373
     ("construct", "ratio4", "--r", "186", "--s", "54"):
         "a88dc7de7bd351ba749a5ab2eee91dd898eeeef2fff0adae46cbeb9841abc516",
@@ -123,6 +128,12 @@ def report_digest(out: str) -> str:
     out = re.sub(r',\n  "timing_seconds": [^\n]*', "", out, count=1)
     out = re.sub(r'("elapsed_seconds": )[^\n]*', r"\1", out)
     return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_the_bench_reference_pins_every_construct_kind():
+    assert Counter(argv[1] for argv in BENCH_CONSTRUCT_PINS) == \
+        {"h": 29, "mod6": 20, "ratio4": 1, "q": 1}
+    assert all(pin["exit"] == cli.EXIT_OK for pin in BENCH_CONSTRUCT_PINS.values())
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))

@@ -1,4 +1,5 @@
-"""The replacement constructions, the ladder of line identities and the scaled h-coefficients."""
+"""The replacement constructions, the ladder of line identities (one rung per even e) and the
+scaled h-coefficients."""
 
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ from sharpmap import (
     h_coeff_sum,
     h_with_trace,
     is_map_polynomial,
-    ladder_sites,
-    ladder_with_trace,
     mod6,
     mod6_with_trace,
     pell_ratio_site,
@@ -32,6 +31,8 @@ from sharpmap import (
     ratio4_construct,
     ratio4_construct_with_trace,
     restrict_to_hyperplane,
+    rung_sites,
+    rung_with_trace,
     solution_at,
     uniqueness_status,
 )
@@ -104,7 +105,7 @@ class TestRewrite:
         (h_with_trace, (3,)),
         (mod6_with_trace, (2,)),
         (ratio4_construct_with_trace, (5, 1)),
-        (ladder_with_trace, (3, 9, 1)),
+        (rung_with_trace, (8, 9, 1)),
     ])
     def test_step_carries_its_degree(self, build, args):
         poly, step = build(*args)
@@ -249,25 +250,25 @@ class TestMod6:
 
 class TestRatio4:
     def test_sites_bound_5(self):
-        assert ladder_sites(2, 5) == [(5, 1)]
+        assert rung_sites(4, 5) == [(5, 1)]
 
     def test_no_sites_below_5(self):
-        assert ladder_sites(2, 4) == []
+        assert rung_sites(4, 4) == []
 
     def test_sites_match_direct_ratio_scan(self):
         from sharpmap import coefficient_ratio, f_coefficient
         direct = [(r, s) for r in range(1, 61) for s in range(1, r - 1)
                   if coefficient_ratio(r, s) == 4
                   and f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s)]
-        assert ladder_sites(2, 60) == direct
+        assert rung_sites(4, 60) == direct
 
     def test_sites_are_the_pell_solutions_up_to_10000(self):
         # degrees 11, 373 and 12,671
-        assert ladder_sites(2, 10_000) == [(5, 1), (186, 54), (6335, 1855)]
+        assert rung_sites(4, 10_000) == [(5, 1), (186, 54), (6335, 1855)]
 
     def test_closed_form_matches_the_coefficients_up_to_10000(self):
         # every site of the Pell listing decided again from the binomials
-        # K(r, s) themselves, the ones ladder_sites never builds
+        # K(r, s) themselves, the ones rung_sites never builds
         from sharpmap import coefficient_ratio
         want = []
         for sol in generalized_solutions(8, -7, 2 * 10_000 + 1):
@@ -276,11 +277,11 @@ class TestRatio4:
             if sol.b % 2 and 1 <= s <= r - 2 and coefficient_ratio(r, s) == 4 \
                     and f_coefficient(r, s + 2) >= 2 * f_coefficient(r, s):
                 want.append((r, s))
-        assert ladder_sites(2, 10_000) == want
+        assert rung_sites(4, 10_000) == want
 
     def test_sites_up_to_a_million(self):
         # K(215220, 63036) has about 73,000 digits; the closed form never builds it
-        assert ladder_sites(2, 10 ** 6) == [(5, 1), (186, 54), (6335, 1855), (215220, 63036)]
+        assert rung_sites(4, 10 ** 6) == [(5, 1), (186, 54), (6335, 1855), (215220, 63036)]
 
     def test_degree_373_has_three_classes(self):
         p = ratio4_construct(186, 54)
@@ -315,6 +316,14 @@ class TestRatio4:
             ratio4_construct(4, 1)
 
 
+def _h_by_subtraction(m):
+    """f(4m-1) - (4m-1) x^(2m-1) y (f(2m-2) - 1), multiplied out, and its step record."""
+    multiplier = Polynomial(2, {(2 * m - 1, 1): 4 * m - 1})
+    change = multiplier * (Polynomial.constant(2, 1) - f(2 * m - 2))
+    step = constructions._step_adding(change, f"f({2 * m - 2}) = 1 on x+y=1", 4 * m - 1)
+    return f(4 * m - 1) + change, step
+
+
 class TestLadder:
     @pytest.mark.parametrize("j, identity", [
         (1, "x^2 + 2y = 1 + y^2 on x+y=1"),
@@ -322,25 +331,58 @@ class TestLadder:
         (3, "x^8 + 8x^6y + 20x^4y^2 + 16x^2y^3 + 2y^4 = 1 + y^8 on x+y=1"),
     ])
     def test_line_identity_is_written_from_p_j(self, j, identity):
-        _, step = ladder_with_trace(j, 2 ** j + 1, 1)
+        # P_j = g_(2^j), the rung e = 2^j
+        _, step = rung_with_trace(2 ** j, 2 ** j + 1, 1)
         assert step.line_identity == identity
 
-    def test_rung_3_at_930_170_is_a_new_sharp_class(self):
-        p, _ = ladder_with_trace(3, 930, 170)
+    def test_rung_8_at_930_170_is_a_new_sharp_class(self):
+        p, _ = rung_with_trace(8, 930, 170)
         assert is_map_polynomial(p)
         assert p.degree() == 1861 and p.term_count() == 932 == min_term_count(1861)
         assert not equivalent(p, f(1861))
         assert not equivalent(p, mod6(310))
 
-    @pytest.mark.parametrize("j, m", [(3, 5), (4, 9)])
-    def test_s_1_rungs_are_h(self, j, m):
-        # at s = 1 the rung sits in f(2^(j+1) + 3) = f(4m - 1)
-        assert ladder_with_trace(j, 2 ** j + 1, 1)[0] == h(m)
+    @pytest.mark.parametrize("m", range(2, 51))
+    def test_s_1_rungs_are_h(self, m):
+        # rung 2m-2 at (2m-1, 1) sits in f(4m - 1); h keeps the record of the
+        # subtraction, which is the change the rung makes
+        want, want_step = _h_by_subtraction(m)
+        assert rung_with_trace(2 * m - 2, 2 * m - 1, 1)[0] == want == h(m)
+        assert h_with_trace(m)[1] == want_step
+
+    @pytest.mark.parametrize("e, r, s, degree", [
+        (10, 6, 1, 13),     # tied at i = 3 and 4
+        (10, 14, 3, 29),    # 29 = 5 mod 12
+        (18, 28, 18, 57),   # 57 = 9 mod 12
+        (6, 464, 104, 929),  # k = 1 of the e = 6k family at d = 432k^3 + 396k^2 + 96k + 5
+    ])
+    def test_rungs_off_the_powers_of_two(self, e, r, s, degree):
+        # the rewrite asserts membership, the sharp term count and inequivalence to f(d)
+        p, step = rung_with_trace(e, r, s)
+        assert p.degree() == step.degree == degree
+        assert p.term_count() == min_term_count(degree) == (degree + 3) // 2
+        assert not equivalent(p, f(degree))
 
     def test_site_with_one_minimal_ratio_is_refused(self):
         # K(3, 2) = 14 and K(3, 3) / 2 = 7/2: one ratio equals the minimum
         with pytest.raises(ValueError, match="1 of the ratios"):
-            ladder_with_trace(1, 3, 2)
+            rung_with_trace(2, 3, 2)
+
+
+def _ratio_e_pairs_the_builder_accepts(e, r_bound):
+    """The (r, s), r <= r_bound, with K(r, s+1) = e K(r, s) where rung e builds."""
+    from sharpmap import coefficient_ratio
+    direct = []
+    for r in range(1, r_bound + 1):
+        for s in range(1, r - e // 2 + 1):
+            if coefficient_ratio(r, s) != e:
+                continue
+            try:
+                rung_with_trace(e, r, s)
+            except ValueError:
+                continue
+            direct.append((r, s))
+    return direct
 
 
 class TestLadderSites:
@@ -348,38 +390,35 @@ class TestLadderSites:
         (1, [(3, 1), (48, 20)]), (2, [(5, 1)]), (3, [(9, 1)]), (4, [(17, 1)]),
     ])
     def test_sites_match_a_direct_scan_to_r80(self, j, want):
-        # the ratio-2^j pairs that the builder itself accepts
-        from sharpmap import coefficient_ratio
-        direct = []
-        for r in range(1, 81):
-            for s in range(1, r - 2 ** (j - 1) + 1):
-                if coefficient_ratio(r, s) != 2 ** j:
-                    continue
-                try:
-                    ladder_with_trace(j, r, s)
-                except ValueError:
-                    continue
-                direct.append((r, s))
-        assert direct == want
-        assert ladder_sites(j, 80) == direct
+        # the rung e = 2^j
+        assert _ratio_e_pairs_the_builder_accepts(2 ** j, 80) == want
+        assert rung_sites(2 ** j, 80) == want
 
-    def test_rung_1_sites_are_the_lambda_12_pell_degrees(self):
+    @pytest.mark.parametrize("e", [6, 10, 12, 14])
+    def test_sites_off_the_powers_of_two_match_a_direct_scan_to_r80(self, e):
+        direct = _ratio_e_pairs_the_builder_accepts(e, 80)
+        assert (e + 1, 1) in direct  # the s = 1 site, h(e/2 + 1)
+        assert rung_sites(e, 80) == direct
+
+    def test_ratio_2_sites_are_the_lambda_12_pell_degrees(self):
         degrees = [solution_at(12, m).d for m in range(1, 7)]
-        sites = ladder_sites(1, (degrees[-1] - 1) // 2)
+        sites = rung_sites(2, (degrees[-1] - 1) // 2)
         assert [2 * r + 1 for r, _ in sites] == degrees
         assert all(pell_ratio_site(2 * r + 1) == s for r, s in sites)
 
-    def test_sites_up_to_a_million_for_rungs_2_to_5(self):
-        assert {j: ladder_sites(j, 10 ** 6) for j in range(2, 6)} == {
-            2: [(5, 1), (186, 54), (6335, 1855), (215220, 63036)],
-            3: [(9, 1), (930, 170), (91179, 16731)],
-            4: [(17, 1), (5634, 594)],
-            5: [(33, 1), (38658, 2210)],
+    def test_sites_up_to_a_million_for_e_4_to_32(self):
+        # (464, 104) is k = 1 of the e = 6k family, d = 929
+        assert {e: rung_sites(e, 10 ** 6) for e in (4, 6, 8, 16, 32)} == {
+            4: [(5, 1), (186, 54), (6335, 1855), (215220, 63036)],
+            6: [(7, 1), (464, 104), (28791, 6489)],
+            8: [(9, 1), (930, 170), (91179, 16731)],
+            16: [(17, 1), (5634, 594)],
+            32: [(33, 1), (38658, 2210)],
         }
 
     def test_bound_below_the_first_site_is_empty(self):
-        assert ladder_sites(200, 10) == []
-        assert ladder_sites(3, 4) == []
+        assert rung_sites(400, 10) == []
+        assert rung_sites(8, 4) == []
 
     @pytest.mark.parametrize("j", range(1, 8))
     def test_waring_coefficients_are_the_squaring_recurrence(self, j):

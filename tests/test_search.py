@@ -418,8 +418,14 @@ class TestWalk:
             want = search_block_by_combinations(6, 5, first, second, 1)
             assert got == want
 
-    @pytest.mark.parametrize("calls", [1, 2, 5, 120, 1000])
-    def test_budget_stop_stats_match_the_filter(self, monkeypatch, calls):
+    @pytest.mark.parametrize("per_mille", [1, 2, 5, 120, 900])
+    def test_budget_stop_stats_match_the_filter(self, monkeypatch, per_mille):
+        # the stop point is a share of the clock readings of an unstopped run,
+        # so it falls inside the run however often the walk reads the clock
+        readings = itertools.count()
+        monkeypatch.setattr(search.time, "monotonic", lambda: 0 * next(readings))
+        assert enumerate_sharp(6, 5, budget_seconds=1)[1]
+        calls = max(1, next(readings) * per_mille // 1000)
         self.clock_after(monkeypatch, calls)
         witnesses, exhaustive, stats = enumerate_sharp(6, 5, budget_seconds=1)
         monkeypatch.setattr(search, "_search_block", search_block_by_combinations)
