@@ -39,7 +39,6 @@ from .gaps import (
     W,
     append_negative,
     decompose_target,
-    frobenius,
     gap_witness,
     monomials_independent_of_constants,
     signature_impossible,
@@ -48,10 +47,8 @@ from .gaps import (
 from .pell import (
     GeneralizedPellSolution,
     PellSolution,
-    congruence_class,
     fundamental_solution,
     generalized_solutions,
-    solution_at,
     solutions,
 )
 from .polynomial import (

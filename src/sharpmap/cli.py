@@ -10,8 +10,7 @@ Exit codes: 0 all assertions passed; 1 an assertion failed (for the search
 subcommand this code also signals the conclusive outcome that uniqueness
 fails); 2 usage error; 3 budget exhausted before the search was exhaustive.
 Reports are byte-identical across runs with the same argv apart from the
-timing fields.  The environment variable SHARPMAP_BUDGET_SECONDS supplies a
-default search budget.
+timing fields.
 """
 
 from __future__ import annotations
@@ -72,21 +71,15 @@ class Report:
         return EXIT_OK if all(a["passed"] for a in self.assertions) else EXIT_ASSERTION
 
 
-def _finite_nonnegative(name: str, value) -> float:
-    """``value`` as a float of at least 0.
+def _finite_nonnegative(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is finite and at least 0.
 
     A negative time or tolerance means nothing; nan and infinities are
-    refused too, as JSON has neither.  Every refusal, a value that is not a
-    number included, is a ValueError that names ``name``.
+    refused too, as JSON has neither.  A refusal is a ValueError that names
+    ``name``.
     """
-    message = f"{name} must be a finite number of at least 0, got {value!r}"
-    try:
-        number = float(value)
-    except ValueError:
-        raise ValueError(message) from None
-    if not (math.isfinite(number) and number >= 0):
-        raise ValueError(message)
-    return number
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
 
 
 def _read_polynomial(path: str) -> Polynomial:
@@ -201,11 +194,9 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.budget_seconds is not None:
-        budget = _finite_nonnegative("--budget-seconds", args.budget_seconds)
-    else:
-        raw = os.environ.get("SHARPMAP_BUDGET_SECONDS")
-        budget = _finite_nonnegative("SHARPMAP_BUDGET_SECONDS", raw) if raw else None
+    budget = args.budget_seconds
+    if budget is not None:
+        _finite_nonnegative("--budget-seconds", budget)
     report = Report("search", {"degree": args.degree, "terms": args.terms,
                                "budget_seconds": budget, "shards": args.shards})
     if args.terms is not None:

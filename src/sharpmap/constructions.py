@@ -160,8 +160,6 @@ def rung_sites(e: int, r_bound: int) -> list[tuple[int, int]]:
     """
     if e < 2 or e % 2 or r_bound < 1:
         raise ValueError(f"need even e >= 2 and r_bound >= 1, got e={e}, r_bound={r_bound}")
-    if r_bound < 1 + e // 2:  # no r <= r_bound has room for s >= 1
-        return []
     c = [_waring_coefficient(e, i) for i in range(e // 2 + 1)]
     sites = []
     for sol in generalized_solutions(e * e // 4 + e, 1 - 2 * e, 2 * r_bound + 1):

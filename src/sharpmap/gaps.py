@@ -23,7 +23,6 @@ arbitrary sign pattern (N_+, N_-) from a handful of recipes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,19 +38,6 @@ from .polynomial import (
     line_columns,
     signature,
 )
-
-
-def frobenius(a: int, b: int) -> int:
-    """Largest integer not a nonnegative combination of coprime a and b: ab - a - b.
-
-    Defined for coprime positive a, b; also for b = 0 with a = 1 (every
-    nonnegative integer is a multiple of 1, so the value is -1).
-    """
-    if a < 1 or b < 0:
-        raise ValueError(f"need a >= 1 and b >= 0, got ({a}, {b})")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"{a} and {b} are not coprime")
-    return a * b - a - b
 
 
 def T(n: int) -> int:

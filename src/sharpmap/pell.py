@@ -84,11 +84,6 @@ def fundamental_solution(lam: int) -> PellSolution:
     return PellSolution(p, q, lam, 1)
 
 
-def solution_at(lam: int, m: int) -> PellSolution:
-    """The m-th solution (d_m, k_m) in the power sequence of the fundamental one."""
-    return solutions(lam, m)[-1]
-
-
 def solutions(lam: int, count: int) -> list[PellSolution]:
     """The first ``count`` solutions, sharing one recurrence pass."""
     if count < 1:
@@ -101,13 +96,6 @@ def solutions(lam: int, count: int) -> list[PellSolution]:
         d, k = d1 * d + lam * k1 * k, d1 * k + k1 * d
         out.append(PellSolution(d, k, lam, i))
     return out
-
-
-def congruence_class(m: int) -> int:
-    """d_m mod 4 for the lambda = 12 sequence: 3 when m is odd, 1 when m is even."""
-    if m < 1:
-        raise ValueError("index must be at least 1")
-    return solution_at(12, m).d % 4
 
 
 def generalized_solutions(D: int, N: int, b_bound: int) -> list[GeneralizedPellSolution]:

@@ -222,29 +222,7 @@ class Polynomial:
         return hash((self._nvars, self.canonical_terms()))
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        names = ["x", "y", "z"] if self._nvars <= 3 else [f"x{i+1}" for i in range(self._nvars)]
-
-        def mono(exp: Exponents) -> str:
-            parts = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    parts.append(name)
-                elif e > 1:
-                    parts.append(f"{name}^{e}")
-            return "*".join(parts) if parts else "1"
-
-        chunks = []
-        for exp, c in self.canonical_terms():
-            m = mono(exp)
-            if c == 1 and m != "1":
-                chunks.append(m)
-            elif m == "1":
-                chunks.append(str(c))
-            else:
-                chunks.append(f"{c}*{m}")
-        return " + ".join(chunks)
+        return f"Polynomial({self._nvars}, {dict(self.canonical_terms())!r})"
 
     # -- JSON ---------------------------------------------------------------
 
@@ -495,9 +473,8 @@ def _scaled_term(exp: Exponents, mant: float, e2: int, xs: list[float]) -> float
     """c * x_1^e_1 * ... * x_n^e_n for c = mant * 2**e2, renormalized per factor."""
     tm, te = mant, e2
     for e, x in zip(exp, xs):
-        if not e:
-            continue
-        # x = 0.0 gives a zero mantissa, so the term is an exact 0.0,
+        # e = 0 gives the factor (1.0, 0), which keeps the term's bits; x = 0.0
+        # with e > 0 gives a zero mantissa, so the term is an exact 0.0,
         # which leaves the exactly rounded fsum unchanged
         xm, xe = math.frexp(x)
         pm, pe = _pow_scaled(xm, xe, e)

@@ -2,14 +2,14 @@
 
 Each oracle deliberately takes a different computational route from the
 library code it checks: radical/binomial expansions instead of recurrences,
-the defining recurrence or repeated squaring instead of a closed form, brute-force scans instead
-of continued fractions and unit classes, sympy instead of the in-package
-arithmetic, whole-system elimination instead of column-by-column reduction,
-the basis x^k y^(d-k) instead of powers of x, a filter over every
-combination instead of a pruned depth-first walk, row-by-row echelon
-forms instead of the column reduction's lead row and pivot rows, and the
-standard library's Gaussian instead of the sphere check's own Box-Muller
-draws.
+the defining recurrence or repeated squaring instead of a closed form,
+brute-force scans instead of continued fractions, unit classes and
+Sylvester's two-coin formula, sympy instead of the in-package arithmetic,
+whole-system elimination instead of column-by-column reduction, the basis
+x^k y^(d-k) instead of powers of x, a filter over every combination instead
+of a pruned depth-first walk, row-by-row echelon forms instead of the column
+reduction's lead row and pivot rows, and the standard library's Gaussian
+instead of the sphere check's own Box-Muller draws.
 """
 
 from __future__ import annotations
@@ -103,6 +103,23 @@ def pell_power_by_binomial(lam: int, d1: int, k1: int, m: int) -> tuple[int, int
     k = sum(math.comb(m, i) * d1 ** (m - i) * k1 ** i * lam ** ((i - 1) // 2)
             for i in range(1, m + 1, 2))
     return d, k
+
+
+def largest_gap_by_scan(a: int, b: int) -> int:
+    """Largest integer that is no nonnegative combination of coprime a and b, by a scan.
+
+    The scan walks up from 0 and stops after min(a, b) representable
+    integers in a row: adding the smaller one then reaches every later
+    integer.  It returns -1 when every nonnegative integer is representable.
+    """
+    reach = [True]
+    largest, run = -1, 1
+    while run < min(a, b):
+        n = len(reach)
+        ok = (n >= a and reach[n - a]) or (n >= b and reach[n - b])
+        reach.append(ok)
+        largest, run = (largest, run + 1) if ok else (n, 0)
+    return largest
 
 
 def _variables(nvars: int) -> tuple:

@@ -17,7 +17,6 @@ from sharpmap import (
     Signature,
     check_sphere_numeric,
     cli,
-    congruence_class,
     enumerate_sharp,
     equivalent,
     even_family,
@@ -35,13 +34,13 @@ from sharpmap import (
     rung_sites,
     signature_impossible,
     signature_witness,
-    solution_at,
+    solutions,
     uniqueness_status,
 )
-from sharpmap.gaps import T, frobenius
+from sharpmap.gaps import T
 from sharpmap.search import FAILS, UNIQUE, UNIQUE_UP_TO_EQUIVALENCE
 
-from .oracles import enumerate_naive
+from .oracles import enumerate_naive, largest_gap_by_scan
 
 _GENERATED = []  # polynomials produced by criteria 1-9, swept by criterion 11
 
@@ -73,8 +72,8 @@ def test_criterion_02_pell_list_and_congruences(capsys):
     assert ds == ["7", "97", "1351", "18817", "262087"]
     for s in report["outputs"]["solutions"]:
         assert int(s["d"]) ** 2 - 12 * int(s["k"]) ** 2 == 1
-    for m in range(1, 21):
-        assert congruence_class(m) == (3 if m % 2 else 1)
+    for s in solutions(12, 20):
+        assert s.d % 4 == (3 if s.index % 2 else 1)
     print("\nCRITERION 2 PASS: lambda=12 degree list 7, 97, 1351, 18817, 262087 "
           "and the mod-4 congruence pattern for m <= 20")
 
@@ -247,8 +246,7 @@ def test_criterion_09_target_dimension_band():
     from sharpmap import decompose_target
     assert decompose_target(4, 9) is None
     for n in range(2, 51):
-        assert frobenius(n, n - 1) == n * n - 3 * n + 1
-        assert T(n) == 1 + frobenius(n, n - 1) + n
+        assert T(n) == n + 1 + largest_gap_by_scan(n - 1, n)
     elapsed = time.monotonic() - start
     assert elapsed <= 30.0, f"criterion 9 took {elapsed:.1f}s (budget 30s)"
     print(f"\nCRITERION 9 PASS: witnesses across [T(n), T(n)+2n] for n = 2..6, "

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "append_negative",
     "check_sphere_numeric",
     "coefficient_ratio",
-    "congruence_class",
     "decompose_target",
     "enumerate_sharp",
     "equivalent",
@@ -42,7 +41,6 @@ PUBLIC_NAMES = [
     "even_u",
     "f",
     "f_coefficient",
-    "frobenius",
     "fundamental_solution",
     "gap_witness",
     "generalized_solutions",
@@ -67,7 +65,6 @@ PUBLIC_NAMES = [
     "signature",
     "signature_impossible",
     "signature_witness",
-    "solution_at",
     "solutions",
     "uniqueness_status",
 ]
@@ -82,10 +79,8 @@ def test_public_names_are_pinned():
 REFUSALS = {
     "float_coefficient": (lambda: Polynomial(2, {(1, 0): 1.5}), TypeError,
                           "must be an int or Fraction"),
-    "congruence_class_0": (lambda: sharpmap.congruence_class(0), ValueError, "at least 1"),
     "pell_b_bound_0": (lambda: sharpmap.generalized_solutions(8, -7, 0), ValueError,
                        "b_bound must be at least 1"),
-    "frobenius_a_0": (lambda: sharpmap.frobenius(0, 1), ValueError, "need a >= 1"),
     "T_0": (lambda: sharpmap.T(0), ValueError, "n must be positive"),
     "h_inequality_range": (lambda: sharpmap.h_coeff_inequality_holds(3, 3), ValueError,
                            "3 <= s <= m-1"),

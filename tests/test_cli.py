@@ -249,11 +249,6 @@ class TestSearch:
         assert code == 0 and passed_all(report)
         assert len(report["outputs"]["witnesses"]) == 1
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHARPMAP_BUDGET_SECONDS", "0.05")
-        code, report = run(capsys, "search", "--degree", "9")
-        assert code == cli.EXIT_BUDGET
-
     @pytest.mark.parametrize("argv", [("--degree", "0"), ("--degree", "-1"),
                                       ("--degree", "-3", "--terms", "1")])
     def test_nonpositive_degree_is_usage_error(self, capsys, argv):
@@ -367,36 +362,20 @@ class TestVerifyAndMap:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "-1"])
-    @pytest.mark.parametrize("source", ["budget_flag", "budget_env", "tolerance"])
-    def test_non_finite_float_is_usage_error(self, capsys, tmp_path, monkeypatch,
-                                             source, value):
+    @pytest.mark.parametrize("source", ["budget_flag", "tolerance"])
+    def test_non_finite_float_is_usage_error(self, capsys, tmp_path, source, value):
         from sharpmap import q
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(q(7).to_json_dict()))
         argv = {"budget_flag": ["search", "--degree", "3", f"--budget-seconds={value}"],
-                "budget_env": ["search", "--degree", "3"],
                 "tolerance": ["map", "--file", str(path), f"--tolerance={value}"]}[source]
-        if source == "budget_env":
-            monkeypatch.setenv("SHARPMAP_BUDGET_SECONDS", value)
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         lines = captured.err.splitlines()
-        option = {"budget_flag": "--budget-seconds", "budget_env": "SHARPMAP_BUDGET_SECONDS",
-                  "tolerance": "--tolerance"}[source]
+        option = {"budget_flag": "--budget-seconds", "tolerance": "--tolerance"}[source]
         assert len(lines) == 1 and lines[0].startswith(f"error: {option} must ")
-
-    def test_non_number_budget_env_is_usage_error(self, capsys, monkeypatch):
-        # argparse refuses a non-number flag itself; the environment
-        # variable goes through float(), whose own message names no option
-        monkeypatch.setenv("SHARPMAP_BUDGET_SECONDS", "abc")
-        code = cli.main(["search", "--degree", "3"])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_USAGE
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: SHARPMAP_BUDGET_SECONDS must ")
 
     def test_verify_round_trip(self, capsys, tmp_path):
         from sharpmap import q
@@ -522,8 +501,7 @@ class TestEntryPoint:
         (("search", "--degree", "9", "--budget-seconds", "0.05"), cli.EXIT_BUDGET),
     ])
     def test_exit_code(self, argv, expected):
-        env = {k: v for k, v in os.environ.items() if k != "SHARPMAP_BUDGET_SECONDS"}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-m", "sharpmap", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == expected, proc.stderr

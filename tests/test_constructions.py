@@ -33,12 +33,15 @@ from sharpmap import (
     restrict_to_hyperplane,
     rung_sites,
     rung_with_trace,
-    solution_at,
+    solutions,
     uniqueness_status,
 )
 from sharpmap.polynomial import min_term_count
 
 from .oracles import compose, ladder_identity_by_squaring, sympy_h_term_count
+
+# the first six lambda = 12 Pell solutions, d = 7, 97, 1351, ...
+PELL_12 = solutions(12, 6)
 
 Q7_EXPECTED = Polynomial(2, {(7, 0): 1, (3, 1): 7, (3, 3): 7, (1, 3): 7, (0, 7): 1})
 MOD6_1_EXPECTED = Polynomial(2, {(7, 0): 1, (5, 1): Fraction(7, 2), (1, 1): Fraction(7, 2),
@@ -60,11 +63,11 @@ class TestRatioTwoSites:
 
     def test_degree_97(self):
         # s = 48 - k where 97^2 = 12 k^2 + 1, so k = 28
-        assert solution_at(12, 2).k == 28
+        assert PELL_12[1].k == 28
         assert pell_ratio_site(97) == 20
 
     def test_sites_exist_exactly_at_pell_degrees(self):
-        pell_degrees = {solution_at(12, m).d for m in range(1, 4)}
+        pell_degrees = {s.d for s in PELL_12[:3]}
         for d in range(3, 1500, 2):
             site = pell_ratio_site(d)
             assert (site is not None) == (d in pell_degrees)
@@ -385,6 +388,13 @@ def _ratio_e_pairs_the_builder_accepts(e, r_bound):
     return direct
 
 
+def _assert_no_sites_without_room(e):
+    # no r <= e/2 has room for s >= 1 below r - e/2
+    for r_bound in range(1, e // 2 + 1):
+        assert _ratio_e_pairs_the_builder_accepts(e, r_bound) == []
+        assert rung_sites(e, r_bound) == []
+
+
 class TestLadderSites:
     @pytest.mark.parametrize("j, want", [
         (1, [(3, 1), (48, 20)]), (2, [(5, 1)]), (3, [(9, 1)]), (4, [(17, 1)]),
@@ -393,15 +403,17 @@ class TestLadderSites:
         # the rung e = 2^j
         assert _ratio_e_pairs_the_builder_accepts(2 ** j, 80) == want
         assert rung_sites(2 ** j, 80) == want
+        _assert_no_sites_without_room(2 ** j)
 
     @pytest.mark.parametrize("e", [6, 10, 12, 14])
     def test_sites_off_the_powers_of_two_match_a_direct_scan_to_r80(self, e):
         direct = _ratio_e_pairs_the_builder_accepts(e, 80)
         assert (e + 1, 1) in direct  # the s = 1 site, h(e/2 + 1)
         assert rung_sites(e, 80) == direct
+        _assert_no_sites_without_room(e)
 
     def test_ratio_2_sites_are_the_lambda_12_pell_degrees(self):
-        degrees = [solution_at(12, m).d for m in range(1, 7)]
+        degrees = [s.d for s in PELL_12]
         sites = rung_sites(2, (degrees[-1] - 1) // 2)
         assert [2 * r + 1 for r, _ in sites] == degrees
         assert all(pell_ratio_site(2 * r + 1) == s for r, s in sites)

@@ -1,4 +1,4 @@
-"""Frobenius numbers, the term-count operators, witnesses, and signatures."""
+"""The threshold T(n), the term-count operators, witnesses, and signatures."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from sharpmap import (
     append_negative,
     decompose_target,
     f,
-    frobenius,
     gap_witness,
     is_map_polynomial,
     is_one_on_hyperplane,
@@ -27,29 +26,26 @@ from sharpmap import (
     signature_witness,
 )
 
+from .oracles import largest_gap_by_scan
+
 
 def s_poly(n):
     return sum((Polynomial.variable(n, i) for i in range(n)), Polynomial(n))
 
 
 class TestFrobenius:
+    # F(a, b), the Frobenius number, is the largest integer that is no
+    # nonnegative combination of a and b; the oracle finds it by a scan
     def test_adjacent_pair(self):
-        assert frobenius(4, 3) == 5
-        assert frobenius(3, 2) == 1
+        assert largest_gap_by_scan(4, 3) == 5
+        assert largest_gap_by_scan(3, 2) == 1
 
     def test_one_and_zero(self):
-        assert frobenius(1, 0) == -1
+        assert largest_gap_by_scan(1, 0) == -1
 
     def test_identity_with_threshold(self):
         for n in range(2, 51):
-            assert frobenius(n, n - 1) == n * n - 3 * n + 1
-            assert 1 + frobenius(n, n - 1) + n == T(n)
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            frobenius(6, 4)
-        with pytest.raises(ValueError):
-            frobenius(5, 0)
+            assert T(n) == 1 + largest_gap_by_scan(n, n - 1) + n
 
     def test_threshold_values(self):
         assert [T(n) for n in (1, 2, 3, 4)] == [1, 2, 5, 10]

@@ -1,4 +1,5 @@
-"""Every name a ``sharpmap`` module imports is used, and every private name it defines is read.
+"""Every name a ``sharpmap`` module imports is used, every private name it defines is read,
+and no module reads the environment.
 
 Re-exports in ``__init__`` are exempt from the first check.
 """
@@ -94,3 +95,38 @@ def test_checker_finds_an_unread_private_name():
     sources = ["_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    _B = 3\n    return _A\n",
                "import m\n\nclass _C:\n    pass\n\n_D = m._f\n\ndef g(x: \"_C\"):\n    return x\n"]
     assert unread_private_names(sources) == ["_B", "_D"]
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each use of an ``os`` environment name in ``source``.
+
+    A use is a name, an attribute (``os.environ``) or an imported name
+    (``from os import getenv``).
+    """
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        reads.extend((node.lineno, name) for name in names if name in ENVIRONMENT_NAMES)
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_the_environment(module):
+    # options come from the command line only, so argv alone fixes a report
+    assert environment_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_an_environment_read():
+    source = ("import os\nfrom os import getenv\n\n"
+              "def f():\n    return os.environ.get(\"A\"), getenv(\"B\"), os.sep\n")
+    assert environment_reads(source) == [(2, "getenv"), (5, "environ"), (5, "getenv")]

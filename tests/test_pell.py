@@ -9,10 +9,8 @@ import pytest
 from sharpmap import (
     GeneralizedPellSolution,
     PellSolution,
-    congruence_class,
     fundamental_solution,
     generalized_solutions,
-    solution_at,
     solutions,
 )
 
@@ -58,12 +56,11 @@ class TestPowerSequence:
         assert [s.d for s in solutions(12, 5)] == [7, 97, 1351, 18817, 262087]
 
     def test_second_k_value(self):
-        assert solution_at(12, 2).k == 28
+        assert solutions(12, 2)[1].k == 28
 
     def test_defining_identity(self):
         for lam in [2, 3, 5, 6, 7, 8, 10, 11, 12, 13]:
-            for m in range(1, 11):
-                s = solution_at(lam, m)
+            for s in solutions(lam, 10):
                 assert s.d * s.d - lam * s.k * s.k == 1
 
     def test_strictly_increasing(self):
@@ -74,8 +71,8 @@ class TestPowerSequence:
     def test_against_binomial_expansion(self):
         for lam in (2, 3, 12, 13):
             base = fundamental_solution(lam)
-            for m in range(2, 11):
-                s = solution_at(lam, m)
+            for m, s in enumerate(solutions(lam, 10), start=1):
+                assert s.index == m
                 assert (s.d, s.k) == pell_power_by_binomial(lam, base.d, base.k, m)
 
     def test_every_lambda12_d_is_odd(self):
@@ -83,7 +80,7 @@ class TestPowerSequence:
 
     def test_invalid_index(self):
         with pytest.raises(ValueError):
-            solution_at(12, 0)
+            solutions(12, 0)
 
     def test_invalid_pair_rejected_by_type(self):
         with pytest.raises(ValueError):
@@ -91,14 +88,13 @@ class TestPowerSequence:
 
 
 class TestCongruence:
+    # d_m mod 4 for lambda = 12: 3 when m is odd, 1 when m is even
     def test_first_indices(self):
-        assert congruence_class(1) == 3   # d = 7
-        assert congruence_class(2) == 1   # d = 97
-        assert congruence_class(3) == 3   # d = 1351
+        assert [s.d % 4 for s in solutions(12, 3)] == [3, 1, 3]  # d = 7, 97, 1351
 
     def test_pattern_to_20(self):
-        for m in range(1, 21):
-            assert congruence_class(m) == (3 if m % 2 else 1)
+        for s in solutions(12, 20):
+            assert s.d % 4 == (3 if s.index % 2 else 1)
 
 
 class TestGeneralized:

@@ -86,6 +86,13 @@ class TestConstruction:
         p = Polynomial(2, {(2, 0): 1, (0, 1): 1, (1, 1): 1})
         assert [e for e, _ in p.canonical_terms()] == [(0, 1), (1, 1), (2, 0)]
 
+    @pytest.mark.parametrize("p", [
+        f(7), Polynomial(2), Polynomial(0, {(): 1}),
+        Polynomial(3, {(2, 0, 1): Fraction(2, 3), (0, 1, 0): Fraction(-1, 5), (0, 0, 3): 7}),
+    ], ids=["f7", "zero", "constant_in_0_vars", "3_vars_negative"])
+    def test_repr_evaluates_back(self, p):
+        assert eval(repr(p), {"Polynomial": Polynomial, "Fraction": Fraction}) == p
+
 
 class TestArithmetic:
     def test_product(self):
@@ -322,6 +329,16 @@ class TestMonomialMap:
             assert {tuple(c["exp"]): Fraction(c["sq_coeff"]) for c in components} == p.terms
 
 
+def huge_coefficient_member() -> Polynomial:
+    """A hyperplane-one member whose coefficients have ~400-digit numerators.
+
+    Its coefficients take the sphere check's mantissa/exponent path.
+    """
+    big = 10 ** 400
+    return Polynomial(2, {(2, 0): 1, (1, 1): 2 - Fraction(1, big),
+                          (0, 2): 1 - Fraction(1, big), (0, 1): Fraction(1, big)})
+
+
 def hex_points(points) -> list[list[str]]:
     """The exact bits of each coordinate, so that 0.0 and -0.0 differ too."""
     return [[v.hex() for v in point] for point in points]
@@ -343,11 +360,7 @@ class TestSphereCheck:
         assert check_sphere_numeric(p, 50, seed=3) == check_sphere_numeric(p, 50, seed=3)
 
     def test_huge_coefficient_fractions_are_handled(self):
-        # hyperplane-one member whose coefficients have ~400-digit numerators,
-        # exercising the mantissa/exponent evaluation path
-        big = 10 ** 400
-        p = Polynomial(2, {(2, 0): 1, (1, 1): 2 - Fraction(1, big),
-                           (0, 2): 1 - Fraction(1, big), (0, 1): Fraction(1, big)})
+        p = huge_coefficient_member()
         assert is_map_polynomial(p)
         assert check_sphere_numeric(p, 50, seed=2) <= 1e-10
 
@@ -363,8 +376,10 @@ class TestSphereCheck:
         # a compensated norm reads 0x1p-52 for these two
         (lambda: gap_witness(3, 5).poly, 200, 2, "0x1.8000000000000p-52"),
         (lambda: gap_witness(3, 5).poly, 200, 3, "0x1.8000000000000p-52"),
+        # scaled terms with a zero exponent, x^0 y^2 and x^0 y
+        (huge_coefficient_member, 500, 1234, "0x1.0000000000000p-51"),
     ], ids=["f7", "f121", "f1351", "gap_1_5", "gap_4_12", "mod6_3",
-            "gap_3_3_seed2", "gap_3_5_seed2", "gap_3_5_seed3"])
+            "gap_3_3_seed2", "gap_3_5_seed2", "gap_3_5_seed3", "huge_fractions"])
     def test_residual_bit_for_bit(self, make, samples, seed, expected):
         # pinned from the per-term loop; the check does not restrict p
         p = make()
