@@ -52,9 +52,8 @@ class Report:
         self.assertions: list[dict] = []
         self._start = time.monotonic()
 
-    def check(self, claim: str, passed: bool) -> bool:
+    def check(self, claim: str, passed: bool) -> None:
         self.assertions.append({"claim": claim, "passed": bool(passed)})
-        return passed
 
     def emit(self) -> int:
         body = {
@@ -159,6 +158,7 @@ def _cmd_pell(args) -> int:
     # a flag of the other mode is refused, not silently ignored; an unset one takes its default
     for flag, dest, default, read in (("--lambda", "lam", 12, not general),
                                       ("--count", "count", 5, not general),
+                                      ("--general-n", "general_n", None, general),
                                       ("--b-bound", "b_bound", 64, general)):
         value = getattr(args, dest)
         if value is not None and not read:
@@ -166,6 +166,8 @@ def _cmd_pell(args) -> int:
         setattr(args, dest, default if value is None else value)
     if general:
         # name the options given, not the library's parameters
+        if args.general_n is None:
+            raise ValueError("--general-d needs --general-n")
         if args.b_bound < 1:
             raise ValueError(f"--b-bound must be at least 1, got {args.b_bound}")
         if args.general_n == 0:
@@ -247,10 +249,8 @@ def _cmd_gaps(args) -> int:
     rows = []
     for N in range(args.n, args.to + 1):
         decomposition = gaps.decompose_target(args.n, N)
-        rows.append({"N": N,
-                     "representable": decomposition is not None,
-                     "j": None if decomposition is None else decomposition[0],
-                     "k": None if decomposition is None else decomposition[1]})
+        j, k = decomposition or (None, None)
+        rows.append({"N": N, "representable": decomposition is not None, "j": j, "k": k})
     report.outputs["threshold"] = gaps.T(args.n)
     report.outputs["rows"] = rows
     report.check("every N at or above the threshold is representable",
@@ -415,10 +415,7 @@ def _any_size_int_strings():
 
 def main(argv: list[str] | None = None) -> int:
     with _any_size_int_strings():
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.subcommand == "pell" and (args.general_d is None) != (args.general_n is None):
-            parser.error("--general-d and --general-n must be given together")
+        args = build_parser().parse_args(argv)
         try:
             return args.handler(args)
         except (ValueError, OSError) as exc:

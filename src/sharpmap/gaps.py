@@ -54,16 +54,10 @@ def _s(n: int) -> Polynomial:
 
 def _top_pure_term(p: Polynomial) -> tuple[tuple[int, ...], Fraction]:
     """The pure x_n term of highest degree; error if p has none."""
-    n = p.nvars
-    best = None
-    for exp, c in p.terms.items():
-        if any(exp[:-1]):
-            continue
-        if best is None or exp[-1] > best[0][-1]:
-            best = (exp, c)
-    if best is None:
+    pure = [(exp, c) for exp, c in p.terms.items() if not any(exp[:-1])]
+    if not pure:
         raise ValueError("polynomial has no pure power of the last variable")
-    return best
+    return max(pure, key=lambda term: term[0][-1])
 
 
 def _split_top(p: Polynomial, share: Fraction) -> Polynomial:

@@ -61,9 +61,10 @@ def _start(rhs, width: int) -> _Reduction:
     return [], [], [], [], list(rhs) + [0] * width, 1, lead
 
 
-def _extend(state: _Reduction, column, m: int) -> _Reduction:
-    """The state after one more column of m entries, by exact cross-multiplication."""
+def _extend(state: _Reduction, column) -> _Reduction:
+    """The state after one more column, by exact cross-multiplication."""
     pivot_rows, basis, free, deltas, residual, scale, lead = state
+    m = len(column)
     j = len(pivot_rows) + len(free)
     vec = list(column) + [0] * (len(residual) - m)
     vec[m + j] = 1
@@ -146,7 +147,7 @@ def max_min_component(columns, rhs, prefix: _Reduction | None = None):
     if prefix is None:
         prefix = _start(rhs, len(columns))
         for column in columns[:-1]:
-            prefix = _extend(prefix, column, m)
+            prefix = _extend(prefix, column)
     pivot_rows, basis, free, deltas, residual, scale, lead = prefix
     n = len(residual) - m
     if n:
@@ -168,7 +169,7 @@ def max_min_component(columns, rhs, prefix: _Reduction | None = None):
             for x, y in zip(residual, w):
                 if x * pv != y * t:
                     return None, None, 0
-        pivot_rows, basis, free, deltas, residual, scale, lead = _extend(prefix, column, m)
+        pivot_rows, basis, free, deltas, residual, scale, lead = _extend(prefix, column)
     elif lead >= 0:
         return None, None, 0
     freedom = len(free)

@@ -360,8 +360,7 @@ def is_map_polynomial(p: Polynomial) -> bool:
 
 def signature(p: Polynomial) -> Signature:
     plus = sum(1 for c in p.terms.values() if c > 0)
-    minus = sum(1 for c in p.terms.values() if c < 0)
-    return Signature(plus, minus)
+    return Signature(plus, p.term_count() - plus)  # no zero coefficient is stored
 
 
 def equivalent(p: Polynomial, q: Polynomial) -> bool:

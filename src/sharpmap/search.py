@@ -237,11 +237,6 @@ class SharpCertificate:
         }
 
 
-def monomial_universe(degree: int) -> list[Monomial]:
-    """All candidate monomials of total degree <= degree, in graded-lex order."""
-    return list(line_columns(degree))
-
-
 _ALL_RULES = 0b1111  # top slice with even b, with odd b, pure x-power, pure y-power
 
 
@@ -383,7 +378,7 @@ class _Walk:
                 if diff & -diff & mirrored:
                     continue
             if state is None:
-                state = _extend(parent, self.columns[node[-1]], len(self.columns[0]))
+                state = _extend(parent, self.columns[node[-1]])
                 lead = state[-1]
                 allowed = self.upto[lead]
                 if left < 2:  # the rows a last index may start on: pivots and the lead
@@ -407,7 +402,7 @@ class _Walk:
                     return stop
                 continue
             # before every solve: one solve can take seconds at high freedom
-            if self.deadline is not None and time.monotonic() > self.deadline:
+            if time.monotonic() > self.deadline:
                 return node + (i,)
             self.examined += 1
             mons = head + (universe[i],)
@@ -436,10 +431,11 @@ def _search_block(degree: int, terms: int, first: int, second: int, deadline):
     other candidate is pruned, so ``pruned`` is the number of candidates
     before the stopping point minus ``examined``.  The candidates of a unit
     share their first two indices, so the rank of a stop among them is the
-    ``_lex_rank`` of its tail from ``second`` on.
+    ``_lex_rank`` of its tail from ``second`` on.  ``deadline`` is a
+    ``time.monotonic`` reading, ``math.inf`` when there is no budget.
     """
     # a unit taken after the deadline does no work
-    if deadline is not None and time.monotonic() > deadline:
+    if time.monotonic() > deadline:
         return [], 0, 0, False
     walk = _Walk(degree, terms, first, deadline)
     # a first with a > 0 leaves the lead at row 0 when it is reduced, at its
@@ -479,8 +475,8 @@ def enumerate_sharp(degree: int, terms: int, budget_seconds: float | None = None
     if budget_seconds is not None and not budget_seconds >= 0:  # nan too
         raise ValueError(f"budget_seconds must be None or at least 0, got {budget_seconds}")
     start = time.monotonic()
-    deadline = start + budget_seconds if budget_seconds is not None else None
-    n = len(monomial_universe(degree))
+    deadline = start + budget_seconds if budget_seconds is not None else math.inf
+    n = len(line_columns(degree))
     stats = SearchStats()
     witnesses: list[SharpWitness] = []
     exhaustive = True

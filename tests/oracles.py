@@ -28,7 +28,7 @@ import sympy
 from sharpmap import Polynomial
 from sharpmap import search
 from sharpmap.polynomial import line_columns
-from sharpmap.search import SharpWitness, Support, monomial_universe, solve_support_system
+from sharpmap.search import SharpWitness, Support, solve_support_system
 
 
 def family_by_radical_expansion(d: int) -> Polynomial:
@@ -289,7 +289,7 @@ def enumerate_naive(degree: int, terms: int) -> list[SharpWitness]:
     for small degrees only.
     """
     out = []
-    for combo in itertools.combinations(monomial_universe(degree), terms):
+    for combo in itertools.combinations(line_columns(degree), terms):
         res = solve_support_system(combo, degree)
         if res.feasible:
             poly = Polynomial(2, dict(zip(combo, res.coefficients)))
@@ -499,9 +499,9 @@ def search_block_by_combinations(degree: int, terms: int, first: int, second: in
     before every solve.
     """
     # a unit taken after the deadline does no work
-    if deadline is not None and time.monotonic() > deadline:
+    if time.monotonic() > deadline:
         return [], 0, 0, False
-    universe = sorted(monomial_universe(degree))
+    universe = sorted(line_columns(degree))
     n_universe = len(universe)
     index_of = {m: i for i, m in enumerate(universe)}
     top_even = top_odd = pure_x = pure_y = 0
@@ -551,7 +551,7 @@ def search_block_by_combinations(degree: int, terms: int, first: int, second: in
             pruned += 1
             continue
         # before every solve: one solve can take seconds at high freedom
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return witnesses, examined, pruned, False
         examined += 1
         mons = tuple(universe[i] for i in combo)

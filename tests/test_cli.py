@@ -203,6 +203,9 @@ class TestPell:
         (("--general-d", "8", "--general-n", "-7", "--count", "3"), "--count"),
         (("--general-d", "8", "--general-n", "-7", "--lambda", "5"), "--lambda"),
         (("--b-bound", "3", "--count", "2"), "--b-bound"),
+        # the two general flags go together, and the one given names the other
+        (("--general-n", "-7"), "--general-n"),
+        (("--general-d", "8"), "--general-d"),
     ])
     def test_flag_of_the_other_mode_is_refused(self, capsys, argv, flag):
         code = cli.main(["pell", *argv])
@@ -474,11 +477,11 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
     def test_shared_parser_survives_errors(self, capsys):
-        assert cli.main(["search", "--degree", "0"]) == cli.EXIT_USAGE
-        for argv in (["search"], ["pell", "--general-d", "8"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == cli.EXIT_USAGE
+        for argv in (["search", "--degree", "0"], ["pell", "--general-d", "8"]):
+            assert cli.main(argv) == cli.EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search"])
+        assert exc.value.code == cli.EXIT_USAGE
         helps = []
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:

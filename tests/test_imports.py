@@ -1,5 +1,5 @@
-"""Every name a ``sharpmap`` module imports is used, every private name it defines is read,
-and no module reads the environment.
+"""Every name a ``sharpmap`` module imports is used, every private name it defines and
+every local a function stores is read, and no module reads the environment.
 
 Re-exports in ``__init__`` are exempt from the first check.
 """
@@ -95,6 +95,38 @@ def test_checker_finds_an_unread_private_name():
     sources = ["_A = 1\n_B: int = 2\n__all__ = []\n\ndef _f():\n    _B = 3\n    return _A\n",
                "import m\n\nclass _C:\n    pass\n\n_D = m._f\n\ndef g(x: \"_C\"):\n    return x\n"]
     assert unread_private_names(sources) == ["_B", "_D"]
+
+
+def unread_locals(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each name a function in ``source`` stores and never loads.
+
+    A load anywhere in the function, in a nested function or comprehension
+    too, counts, so a closure's read is a read.  ``_`` and the names
+    declared ``global`` or ``nonlocal`` are exempt.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+        exempt = {"_"}.union(*(n.names for n in ast.walk(func)
+                               if isinstance(n, (ast.Global, ast.Nonlocal))))
+        exempt.update(n.id for n in names if isinstance(n.ctx, ast.Load))
+        found.update((n.lineno, n.id) for n in names
+                     if isinstance(n.ctx, ast.Store) and n.id not in exempt)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unread_local(module):
+    assert unread_locals((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_an_unread_local():
+    source = ("X = 1\n\ndef f(a):\n    b, _ = a\n    c = 2\n    for d, e in a:\n"
+              "        pass\n    def g():\n        global X\n        X = c\n"
+              "    return [b for b in a if (k := b)]\n")
+    assert unread_locals(source) == [(6, "d"), (6, "e"), (11, "k")]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

@@ -102,7 +102,7 @@ def prefix_reduction(columns, rhs):
     """The reduction of ``columns[:-1]``, built as the search builds its prefixes."""
     state = _start(rhs, len(columns))
     for column in columns[:-1]:
-        state = _extend(state, column, len(rhs))
+        state = _extend(state, column)
     return state
 
 
@@ -144,9 +144,9 @@ def test_new_pivot_on_a_solved_prefix_is_rejected_from_its_rows(monkeypatch):
     assert prefix[-1] == -1 and len(prefix[2]) == 1
     extended = []
 
-    def counting(state, column, m):
+    def counting(state, column):
         extended.append(column)
-        return _extend(state, column, m)
+        return _extend(state, column)
 
     monkeypatch.setattr(linprog, "_extend", counting)
     assert max_min_component(columns[-1:], rhs, prefix) == (None, None, 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -103,6 +104,14 @@ class TestArithmetic:
 
     def test_scalar(self):
         assert 2 * X_PLUS_Y == Polynomial(2, {(1, 0): 2, (0, 1): 2})
+
+    def test_non_polynomial_operand(self):
+        # each operator returns NotImplemented, so Python raises or compares unequal
+        p = f(3)
+        for op in (lambda: p + 1, lambda: p - 1, lambda: p * "a"):
+            with pytest.raises(TypeError):
+                op()
+        assert (p == 1) is False
 
 
 class TestRestriction:
@@ -363,6 +372,10 @@ class TestSphereCheck:
         p = huge_coefficient_member()
         assert is_map_polynomial(p)
         assert check_sphere_numeric(p, 50, seed=2) <= 1e-10
+
+    def test_term_past_the_float_range_is_infinite(self):
+        # 2**2000 * x fits no double: the scaled term overflows to inf
+        assert check_sphere_numeric(Polynomial(1, {(1,): 2 ** 2000}), 1, 0) == math.inf
 
     @pytest.mark.parametrize("make, samples, seed, expected", [
         (lambda: f(7), 1000, 1234, "0x1.0000000000000p-50"),

@@ -32,7 +32,7 @@ from sharpmap import (
     uniqueness_status,
 )
 from sharpmap import search
-from sharpmap.polynomial import min_term_count
+from sharpmap.polynomial import line_columns, min_term_count
 from sharpmap.search import (
     FAILS,
     UNIQUE,
@@ -40,7 +40,6 @@ from sharpmap.search import (
     UNKNOWN,
     SearchStats,
     UniquenessResult,
-    monomial_universe,
     solve_support_system,
 )
 
@@ -217,7 +216,7 @@ def test_solver_outcomes_are_pinned():
     outcomes = Counter()
     for d in range(1, 5):
         for size in range(1, 7):
-            for combo in combinations(monomial_universe(d), size):
+            for combo in combinations(line_columns(d), size):
                 res = solve_support_system(combo, d)
                 outcomes[res.status, res.freedom] += 1
                 coeffs = None if res.coefficients is None else [str(c) for c in res.coefficients]
@@ -232,7 +231,7 @@ def test_solver_outcomes_do_not_depend_on_the_order():
     # the supports of the pinned test in a shuffled order: consecutive calls
     # share few prefixes, so a prefix memo that leaks state shows here
     supports = [(combo, d) for d in range(1, 5) for size in range(1, 7)
-                for combo in combinations(monomial_universe(d), size)]
+                for combo in combinations(line_columns(d), size)]
     random.Random(0).shuffle(supports)
     outcomes = Counter()
     for combo, d in supports:
@@ -350,7 +349,7 @@ class TestEnumerate:
         assert (stats.examined, stats.pruned) == self.CERTIFICATE_COUNTERS[degree]
         # a rule moves candidates from examined to pruned, never drops one
         assert stats.examined + stats.pruned == \
-            math.comb(len(monomial_universe(degree)), terms)
+            math.comb(len(line_columns(degree)), terms)
         for other_witnesses, other_exhaustive, other_stats in others:
             assert other_exhaustive
             assert other_witnesses == witnesses
@@ -391,12 +390,12 @@ class TestWalk:
             return solve(mons, d, prefix) if terms < 10 else search._INFEASIBLE
 
         monkeypatch.setattr(search, "solve_support_system", recording)
-        n = len(monomial_universe(degree))
+        n = len(line_columns(degree))
         for first, second in combinations(range(n), 2):
-            got = search._search_block(degree, terms, first, second, None)
+            got = search._search_block(degree, terms, first, second, math.inf)
             walk_order = solved[:]
             solved.clear()
-            assert got == search_block_by_combinations(degree, terms, first, second, None)
+            assert got == search_block_by_combinations(degree, terms, first, second, math.inf)
             assert walk_order == solved
             solved.clear()
 
@@ -479,9 +478,9 @@ class TestWalk:
         built, solved, calls = [], [], []
         extend, descend = search._extend, search._Walk.descend
 
-        def counting(state, column, m):
+        def counting(state, column):
             built.append(column)
-            return extend(state, column, m)
+            return extend(state, column)
 
         def recording(mons, d, prefix=None, solve=search.solve_support_system):
             solved.append((mons, prefix))
@@ -541,7 +540,7 @@ class TestPruningRules:
 
     def test_no_top_degree_monomial(self):
         for d in (3, 4, 5):
-            universe = [m for m in monomial_universe(d) if m[0] + m[1] < d]
+            universe = [m for m in line_columns(d) if m[0] + m[1] < d]
             for combo in combinations(universe, 3):
                 res = solve_support_system(combo, d)
                 if res.feasible:
@@ -550,7 +549,7 @@ class TestPruningRules:
 
     def test_missing_pure_term_is_infeasible(self):
         for d in (2, 3, 4, 5):
-            universe = monomial_universe(d)
+            universe = list(line_columns(d))
             for combo in combinations(universe, 3):
                 has_pure_x = any(b == 0 for _, b in combo)
                 has_pure_y = any(a == 0 for a, _ in combo)
@@ -574,7 +573,7 @@ class TestPruningRules:
         enumerate_sharp(degree, terms)
         monkeypatch.undo()
         skipped = 0
-        for combo in combinations(sorted(monomial_universe(degree)), terms):
+        for combo in combinations(sorted(line_columns(degree)), terms):
             top = {b % 2 for a, b in combo if a + b == degree}
             if top != {0, 1} or all(b for _, b in combo) or all(a for a, _ in combo):
                 continue
@@ -600,24 +599,23 @@ class TestPruningRules:
         degree, prefix = case
         prefix = sorted(prefix)
         universe, columns, *_ = search._walk_tables(degree)
-        m = degree + 1
         state = search._start(columns[0], len(prefix) + 1)
         for i in prefix:
-            state = search._extend(state, columns[i], m)
+            state = search._extend(state, columns[i])
         pivots, lead = state[0], state[-1]
         assert set(pivots) == leading_rows([columns[i] for i in prefix])
         assert lead == first_unsolvable_row([columns[i] for i in prefix], columns[0])
         for j, (a, _) in enumerate(universe):
             if a in pivots:
                 continue
-            after = search._extend(state, columns[j], m)
+            after = search._extend(state, columns[j])
             assert after[0] == pivots + [a], (prefix, j)
             if a != lead:
                 assert after[-1] == lead, (prefix, j)
 
     def test_top_slice_parity_rule(self):
         for d in (3, 4, 5):
-            universe = monomial_universe(d)
+            universe = list(line_columns(d))
             for combo in combinations(universe, 3):
                 top = [(a, b) for a, b in combo if a + b == d]
                 if top and len({b % 2 for _, b in top}) == 1:
